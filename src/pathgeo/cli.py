@@ -106,6 +106,7 @@ def optimizer_from_config(doc: dict) -> OptimizerConfig:
         seed=doc.get("seed", 0),
         momentum=doc.get("momentum", 0.0),
         loss=doc.get("loss", "truncated_cross_entropy"),
+        margin_gamma=doc.get("margin_gamma", 0.0),
     )
 
 

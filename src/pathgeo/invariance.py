@@ -20,6 +20,8 @@ from .netgraph import (
     build_layered,
     enumerate_paths,
     forward,
+    layer_views,
+    path_sum,
 )
 
 
@@ -129,22 +131,17 @@ def check_function_equal(net: NetworkGraph, theta1: np.ndarray, theta2: np.ndarr
 # -- balancing ----------------------------------------------------------------
 
 
-def _group_norm_matrix(W: np.ndarray, p: float, q: float) -> float:
-    """||W||_{p,q}: l_p over each unit's incoming row, l_q across units."""
-    row = np.sum(np.abs(W) ** p, axis=1) ** (1.0 / p)
+def matrix_group_norm(mats: list[np.ndarray], p: float, q: float) -> float:
+    """l_p over each row (a unit's incoming weights), l_q across the rows of all mats."""
+    rows = np.concatenate([np.sum(np.abs(W) ** p, axis=1) ** (1.0 / p) for W in mats])
     if np.isinf(q):
-        return float(row.max())
-    return float(np.sum(row**q) ** (1.0 / q))
+        return float(rows.max())
+    return float(np.sum(rows**q) ** (1.0 / q))
 
 
 def layer_matrices(net: NetworkGraph, theta: np.ndarray) -> list[np.ndarray]:
-    """Weight matrices (incl. bias column if present) of a layered net."""
-    slices = net.layer_param_slices()
-    out = []
-    for k, s in enumerate(slices, start=1):
-        fan_in = net.dims[k - 1] + (1 if net.has_bias else 0)
-        out.append(theta[s].reshape(net.dims[k], fan_in).copy())
-    return out
+    """Weight matrices (incl. bias column if present) of a layered net, as copies."""
+    return [W.copy() for W in layer_views(net, theta)]
 
 
 def pack_layers(net: NetworkGraph, mats: list[np.ndarray]) -> np.ndarray:
@@ -153,27 +150,17 @@ def pack_layers(net: NetworkGraph, mats: list[np.ndarray]) -> np.ndarray:
 
 def group_norm(net: NetworkGraph, theta: np.ndarray, p: float, q: float) -> float:
     """mu_{p,q}: l_p over incoming weights per unit, l_q across all units."""
-    mats = layer_matrices(net, theta)
-    rows = np.concatenate([np.sum(np.abs(W) ** p, axis=1) ** (1.0 / p) for W in mats])
-    if np.isinf(q):
-        return float(rows.max())
-    return float(np.sum(rows**q) ** (1.0 / q))
+    return matrix_group_norm(layer_matrices(net, theta), p, q)
 
 
 def product_norm(net: NetworkGraph, theta: np.ndarray, p: float, q: float) -> float:
     """psi_{p,q}: product over layers of the per-layer (p, q) group norm."""
-    return float(np.prod([_group_norm_matrix(W, p, q) for W in layer_matrices(net, theta)]))
+    return float(np.prod([matrix_group_norm([W], p, q) for W in layer_matrices(net, theta)]))
 
 
 def path_norm(net: NetworkGraph, theta: np.ndarray, p: float) -> float:
     """phi_p: (sum over paths of the product of |w|^p)^(1/p), by forward DP."""
-    wp = np.abs(theta[net.edges[:, 2]]) ** p
-    acc = np.zeros(net.n_nodes)
-    acc[net.source_nodes] = 1.0
-    for v in net.topo:
-        if net.in_edges[v]:
-            eids, srcs, _ = net.in_edges[v]
-            acc[v] = wp[eids] @ acc[srcs]
+    acc = path_sum(net, np.abs(theta[net.edges[:, 2]]) ** p)
     return float(acc[net.output_nodes].sum() ** (1.0 / p))
 
 
@@ -183,7 +170,7 @@ def balance_layers(net: NetworkGraph, theta: np.ndarray, p: float, q: float) -> 
     Afterwards mu_{p,q} = d^{1/q} * psi_{p,q}^{1/d} with psi unchanged.
     """
     mats = layer_matrices(net, theta)
-    norms = [_group_norm_matrix(W, p, q) for W in mats]
+    norms = [matrix_group_norm([W], p, q) for W in mats]
     if any(n == 0.0 for n in norms):
         raise MarginDegenerate("cannot balance a zero-norm layer")
     psi_root = float(np.prod(norms)) ** (1.0 / len(mats))

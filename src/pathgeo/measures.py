@@ -2,8 +2,9 @@
 
 All norm-based quantities are reported divided by the margin squared, so
 they are comparable across nets whose outputs differ only by scale.  Path
-based measures are computed by dynamic programming on transformed weight
-matrices; nothing here enumerates paths.
+based measures are path sums of transformed weight matrices, computed by
+`netgraph.layered_path_sum`, the layered backend of `netgraph.path_sum`;
+nothing here enumerates paths.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidEpsilon, InvalidPerturbation, MarginDegenerate
-from .netgraph import NetworkGraph, forward
-from .optim import loss_and_grad
+from .invariance import matrix_group_norm
+from .netgraph import NetworkGraph, forward, layered_path_sum
+from .optim import loss_and_grad, point_margins
 
 
 @dataclass
@@ -77,16 +79,6 @@ class ConditionReport:
 # -- margin ---------------------------------------------------------------------
 
 
-def point_margins(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    m = scores.shape[0]
-    correct = scores[np.arange(m), labels]
-    rest = scores.copy()
-    rest[np.arange(m), labels] = -np.inf
-    return correct - rest.max(axis=1)
-
-
 def margin(scores: np.ndarray, labels: np.ndarray, eps: float = 0.05) -> float:
     """The (ceil(eps*m)+1)-th smallest per-point margin.
 
@@ -134,23 +126,8 @@ def spectral_norm(W: np.ndarray, tol: float = 1e-12, max_iter: int = 2000):
 # -- norm measures ------------------------------------------------------------------
 
 
-def _dp_layer_product(mats: list[np.ndarray], bias: bool = False) -> float:
-    """Sum over all paths of per-layer transformed weights: 1^T M_d ... M_1 1.
-
-    With bias=True every matrix carries a trailing bias column whose
-    constant-one unit starts new paths at that layer.
-    """
-    v = np.ones(mats[0].shape[1] - (1 if bias else 0))
-    for M in mats:
-        if bias:
-            v = np.append(v, 1.0)
-        v = M @ v
-    return float(v.sum())
-
-
-def _group_norm_mat(W: np.ndarray, p: float, q: float) -> float:
-    row = np.sum(np.abs(W) ** p, axis=1) ** (1.0 / p)
-    return float(row.max()) if np.isinf(q) else float(np.sum(row**q) ** (1.0 / q))
+def _path_total(mats: list[np.ndarray], bias: bool) -> float:
+    return float(layered_path_sum(mats, bias)[-1].sum())
 
 
 def norm_measures(layers: list[np.ndarray], gamma_margin: float, pq_grid=((1.0, np.inf), (2.0, np.inf), (2.0, 2.0), (1.0, 1.0)), bias: bool = False) -> ComplexityReport:
@@ -174,8 +151,8 @@ def norm_measures(layers: list[np.ndarray], gamma_margin: float, pq_grid=((1.0, 
     l1inf = [float(np.abs(W).sum(axis=1).max()) for W in layers]
 
     l2_measure = float(np.prod([4.0 * f**2 for f in fro])) / g2
-    l1_path = _dp_layer_product([2.0 * np.abs(W) for W in layers], bias) ** 2 / g2
-    l2_path = _dp_layer_product([4.0 * h * W**2 for h, W in zip(widths, layers)], bias) / g2
+    l1_path = _path_total([2.0 * np.abs(W) for W in layers], bias) ** 2 / g2
+    l2_path = _path_total([4.0 * h * W**2 for h, W in zip(widths, layers)], bias) / g2
     spectral_measure = float(np.prod([h * s**2 for h, s in zip(widths, spec)])) / g2
 
     report = ComplexityReport(
@@ -189,12 +166,10 @@ def norm_measures(layers: list[np.ndarray], gamma_margin: float, pq_grid=((1.0, 
         layer_l1_inf=l1inf,
     )
     for p, q in pq_grid:
-        rows = np.concatenate([np.sum(np.abs(W) ** p, axis=1) ** (1.0 / p) for W in layers])
-        mu = float(rows.max()) if np.isinf(q) else float(np.sum(rows**q) ** (1.0 / q))
-        report.group_norms[(p, q)] = mu
-        report.product_norms[(p, q)] = float(np.prod([_group_norm_mat(W, p, q) for W in layers]))
+        report.group_norms[(p, q)] = matrix_group_norm(layers, p, q)
+        report.product_norms[(p, q)] = float(np.prod([matrix_group_norm([W], p, q) for W in layers]))
     for p in sorted({p for p, _ in pq_grid}):
-        report.path_norms[p] = _dp_layer_product([np.abs(W) ** p for W in layers], bias) ** (1.0 / p)
+        report.path_norms[p] = _path_total([np.abs(W) ** p for W in layers], bias) ** (1.0 / p)
     return report
 
 
@@ -309,22 +284,12 @@ def perturbation_bound_check(layers: list[np.ndarray], perturbations: list[np.nd
     for ws, us in zip(w_specs, u_specs):
         if us > ws / d + 1e-12:
             raise InvalidPerturbation("perturbation exceeds ||W||_2 / d")
-    lhs = float(np.linalg.norm(_relu_forward(layers_add(layers, perturbations), x) - _relu_forward(layers, x)))
+    perturbed = [W + U for W, U in zip(layers, perturbations)]
+    lhs = float(np.linalg.norm(_activation_stack(perturbed, x)[1][-1] - _activation_stack(layers, x)[1][-1]))
     prod = float(np.prod(w_specs))
     ratio = sum((us / ws if ws > 0 else 0.0) for us, ws in zip(u_specs, w_specs))
     rhs = float(np.e * B * prod * ratio)
     return lhs, rhs
-
-
-def layers_add(layers, perturbations):
-    return [W + U for W, U in zip(layers, perturbations)]
-
-
-def _relu_forward(layers, x):
-    h = x
-    for W in layers[:-1]:
-        h = np.maximum(W @ h, 0.0)
-    return layers[-1] @ h
 
 
 # -- interaction / activation / spikiness conditions ----------------------------------

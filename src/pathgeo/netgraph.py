@@ -9,6 +9,12 @@ Layered fully connected nets and time-unrolled RNNs are built by helpers
 that record their structure, which lets `forward`/`backward` dispatch to
 vectorized implementations.  The generic per-node implementation is the
 reference semantics and is what the oracles exercise.
+
+`path_sum` / `path_sum_backward` are the one place that sums, over paths,
+products of per-edge values; the path regularizer, kappa, the data
+dependent blend, path norms and path counts are all that pair evaluated
+on transformed weights, and the norm measures call its layered backend
+`layered_path_sum` on their matrices.
 """
 
 from __future__ import annotations
@@ -462,13 +468,17 @@ def forward(net: NetworkGraph, theta: np.ndarray, X: np.ndarray) -> ForwardTrace
     return ForwardTrace(z=z, h=h, net=net, theta=theta.copy())
 
 
+def layer_views(net: NetworkGraph, values: np.ndarray) -> list[np.ndarray]:
+    """Per layer k>=1 of a layered net: the (n_k, fan_in) view of a per-param vector."""
+    slices = net.layer_param_slices()
+    fan_in = [n + (1 if net.has_bias else 0) for n in net.dims[:-1]]
+    return [values[s].reshape(n, f) for s, n, f in zip(slices, net.dims[1:], fan_in)]
+
+
 def _layered_forward(net, theta, z, h):
     layers = net.layer_nodes()
-    slices = net.layer_param_slices()
     d = len(net.dims) - 1
-    for k in range(1, d + 1):
-        fan_in = net.dims[k - 1] + (1 if net.has_bias else 0)
-        W = theta[slices[k - 1]].reshape(net.dims[k], fan_in)
+    for k, W in enumerate(layer_views(net, theta), start=1):
         src = layers[k - 1]
         tgt = layers[k][: net.dims[k]]
         zk = W @ h[src]
@@ -599,12 +609,12 @@ def backward(net: NetworkGraph, theta: np.ndarray, trace: ForwardTrace, dL_doutp
 def _layered_backward(net, theta, trace, dL):
     layers = net.layer_nodes()
     slices = net.layer_param_slices()
+    mats = layer_views(net, theta)
     d = len(net.dims) - 1
     grad = np.zeros(net.n_param)
     d_h = dL.T  # (n_d, B) at the output layer
     for k in range(d, 0, -1):
-        fan_in = net.dims[k - 1] + (1 if net.has_bias else 0)
-        W = theta[slices[k - 1]].reshape(net.dims[k], fan_in)
+        W = mats[k - 1]
         tgt = layers[k][: net.dims[k]]
         dz = d_h if k == d else d_h * (trace.z[tgt] > 0)
         grad[slices[k - 1]] = (dz @ trace.h[layers[k - 1]].T).ravel()
@@ -616,13 +626,72 @@ def _layered_backward(net, theta, trace, dL):
 # -- path machinery ----------------------------------------------------------
 
 
-def count_paths(net: NetworkGraph) -> int:
-    """Number of source->output paths, by DP over the topological order."""
-    c = np.zeros(net.n_nodes, dtype=np.float64)
-    c[net.source_nodes] = 1.0
+def path_sum(net: NetworkGraph, edge_values: np.ndarray, offset: np.ndarray | None = None) -> np.ndarray:
+    """(V,) per node v: sum over source->v paths of the product of edge values.
+
+    edge_values is per edge, in `net.edges` order.  Sources carry 1.  With
+    `offset` (V,), every node with incoming edges also adds offset[v], so a
+    path may start at any such node u with weight offset[u].  Layered nets
+    take one matrix-vector product per layer; every other net walks the
+    topological order, which is the reference semantics.
+    """
+    if net.dims is not None:
+        offsets = None
+        if offset is not None:
+            offsets = [offset[ids[:n]] for ids, n in zip(net.layer_nodes()[1:], net.dims[1:])]
+        return np.concatenate(layered_path_sum(layer_views(net, edge_values), net.has_bias, offsets))
+    g = np.zeros(net.n_nodes)
+    g[net.source_nodes] = 1.0
     for v in net.topo:
         if net.in_edges[v]:
-            c[v] = c[net.in_edges[v][1]].sum()
+            eids, srcs, _ = net.in_edges[v]
+            through = edge_values[eids] @ g[srcs]
+            g[v] = through if offset is None else offset[v] + through
+    return g
+
+
+def path_sum_backward(net: NetworkGraph, edge_values: np.ndarray) -> np.ndarray:
+    """(V,) per node v: sum over v->output paths of the product of edge values."""
+    if net.dims is not None:
+        delta = [np.ones(net.dims[-1])]
+        for M in reversed(layer_views(net, edge_values)):
+            delta.insert(0, M.T @ delta[0][: M.shape[0]])  # a bias entry has no incoming edges
+        return np.concatenate(delta)
+    delta = np.zeros(net.n_nodes)
+    delta[net.output_nodes] = 1.0
+    for v in net.topo[::-1]:
+        if net.in_edges[v]:
+            eids, srcs, _ = net.in_edges[v]
+            np.add.at(delta, srcs, edge_values[eids] * delta[v])
+    return delta
+
+
+def layered_path_sum(mats: list[np.ndarray], bias: bool = False, offsets: list[np.ndarray] | None = None) -> list[np.ndarray]:
+    """Forward path sums through a chain of per-layer edge-value matrices.
+
+    mats[k-1] has shape (n_k, n_{k-1} + bias).  Entry k of the result holds,
+    per unit of layer k, the sum over paths ending there of the product of
+    matrix entries: M_k ... M_1 1.  With bias=True every non-output entry
+    ends in the constant-one bias unit, which starts new paths at the next
+    layer, so the entries concatenate to the node order of `build_layered`.
+    offsets[k-1], when given, is added to layer k's sums.
+    """
+    v = np.ones(mats[0].shape[1] - (1 if bias else 0))
+    out = []
+    for k, M in enumerate(mats):
+        if bias:
+            v = np.append(v, 1.0)
+        out.append(v)
+        v = M @ v
+        if offsets is not None:
+            v = offsets[k] + v
+    out.append(v)
+    return out
+
+
+def count_paths(net: NetworkGraph) -> int:
+    """Number of source->output paths: the path sum of all-ones edge values."""
+    c = path_sum(net, np.ones(net.n_edges))
     total = c[net.output_nodes].sum()
     if not np.isfinite(total) or total > 2**62:
         raise TooManyPaths("path count overflow")

@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import InvalidLabel, UnsupportedCombination
 from .netgraph import (
+    NODE_BIAS,
+    NODE_INTERNAL,
     NODE_OUTPUT,
     NetworkGraph,
     backward,
@@ -41,7 +43,7 @@ class OptimizerConfig:
     alpha: float = 0.0
     stat: str = "second_moment"
     use_kappa2: bool = False
-    kappa_floor: float | None = None  # None -> 1e-8 * max(kappa_max, 1)
+    kappa_floor: float | None = None  # None -> only exact zeros are replaced, by 1 (see floored)
     seed: int = 0
     momentum: float = 0.0
     loss: str = "cross_entropy"
@@ -127,7 +129,7 @@ def loss_and_grad(kind: str, scores: np.ndarray, labels, margin_gamma: float = 0
 
     if kind == "margin":
         labels = _check_labels(labels, k)
-        margins = _point_margins(scores, labels)
+        margins = point_margins(scores, labels)
         return float(np.mean(margins <= margin_gamma)), np.zeros_like(scores)
 
     labels = _check_labels(labels, k)
@@ -150,12 +152,15 @@ def loss_and_grad(kind: str, scores: np.ndarray, labels, margin_gamma: float = 0
     raise UnsupportedCombination(f"unknown loss kind {kind!r}")
 
 
-def _point_margins(scores, labels):
+def point_margins(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per point: the correct class's score minus the best other score."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
     m = scores.shape[0]
     correct = scores[np.arange(m), labels]
-    masked = scores.copy()
-    masked[np.arange(m), labels] = -np.inf
-    return correct - masked.max(axis=1)
+    rest = scores.copy()
+    rest[np.arange(m), labels] = -np.inf
+    return correct - rest.max(axis=1)
 
 
 def batch_loss_grad(net: NetworkGraph, theta: np.ndarray, X: np.ndarray, labels, cfg: OptimizerConfig):
@@ -342,7 +347,7 @@ def ddp_norm_forward_backward(net: NetworkGraph, w_tilde: np.ndarray, X: np.ndar
 
     V = net.n_nodes
     h = np.zeros((V, n))
-    h[net.node_kind == 3] = 1.0  # bias nodes
+    h[net.node_kind == NODE_BIAS] = 1.0
     h[net.input_nodes] = X.T
     z = np.zeros((V, n))
     gamma_t = np.ones(V)
@@ -398,7 +403,7 @@ def ddp_norm_forward_backward(net: NetworkGraph, w_tilde: np.ndarray, X: np.ndar
             grad[pids] = (hv @ dzv - c * rw[v] / gv) / gv
             zhat = zv - zv.mean() if stat == "variance" else zv
             d_h_src = np.outer(wt / gv, dzv - (alpha / n) * c * zhat)
-        internal = (net.node_kind[srcs] == 1)[:, None]
+        internal = (net.node_kind[srcs] == NODE_INTERNAL)[:, None]
         np.add.at(d_z, srcs, np.where(internal, d_h_src * (z[srcs] > 0), d_h_src))
     grads = {int(v): grad[net.in_edges[v][2]] for v in order}
     return loss_val, grad, grads, h, gamma_t

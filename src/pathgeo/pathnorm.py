@@ -5,8 +5,9 @@ edge weights; kappa_i = 0.5 * d^2 gamma2_net / d theta_i^2 splits into a
 per-edge term kappa1 and an interaction term kappa2 that is nonzero only
 when a single path can traverse two edges sharing one parameter (time
 unrolled recurrent nets).  Everything here is computed by dynamic
-programming on the squared-weight network; brute-force path enumeration is
-provided as the oracle.
+programming on the squared-weight network, i.e. `netgraph.path_sum` and
+`netgraph.path_sum_backward` on edge values w^2; brute-force path
+enumeration is provided as the oracle.
 
 The data-dependent variants blend the squared-weight recursion with batch
 statistics of the pre-activations and reduce to the data-independent case
@@ -28,6 +29,8 @@ from .netgraph import (
     RNNSpec,
     enumerate_paths,
     forward,
+    path_sum,
+    path_sum_backward,
 )
 
 VALID_STATS = ("variance", "second_moment")
@@ -54,37 +57,9 @@ class KappaVector:
 # -- squared-weight network DP ------------------------------------------------
 
 
-def _squared_forward_values(net: NetworkGraph, theta: np.ndarray) -> np.ndarray:
-    """All-ones input run through the squared-weight linear network.
-
-    The value at node v equals the sum over source->v paths of the product
-    of squared weights, i.e. gamma2_v.
-    """
-    w2 = theta[net.edges[:, 2]] ** 2
-    g = np.zeros(net.n_nodes)
-    g[net.source_nodes] = 1.0
-    for v in net.topo:
-        if net.in_edges[v]:
-            eids, srcs, _ = net.in_edges[v]
-            g[v] = w2[eids] @ g[srcs]
-    return g
-
-
-def _squared_backward_values(net: NetworkGraph, theta: np.ndarray) -> np.ndarray:
-    """delta_v: sum over v->output paths of squared-weight products."""
-    w2 = theta[net.edges[:, 2]] ** 2
-    delta = np.zeros(net.n_nodes)
-    delta[net.output_nodes] = 1.0
-    for v in net.topo[::-1]:
-        if net.in_edges[v]:
-            eids, srcs, _ = net.in_edges[v]
-            np.add.at(delta, srcs, w2[eids] * delta[v])
-    return delta
-
-
 def path_reg_dp(net: NetworkGraph, theta: np.ndarray) -> tuple[GammaState, float]:
     """Path regularizer by a single forward DP: gamma2_v = sum gamma2_u w^2."""
-    g = _squared_forward_values(net, theta)
+    g = path_sum(net, theta[net.edges[:, 2]] ** 2)
     total = float(g[net.output_nodes].sum())
     return GammaState(gamma2=g, gamma2_net=total), total
 
@@ -104,8 +79,9 @@ def kappa1(net: NetworkGraph, theta: np.ndarray) -> np.ndarray:
     """
     if net.rnn is not None:
         return _kappa1_rnn(net.rnn, theta)
-    g = _squared_forward_values(net, theta)
-    delta = _squared_backward_values(net, theta)
+    w2 = theta[net.edges[:, 2]] ** 2
+    g = path_sum(net, w2)
+    delta = path_sum_backward(net, w2)
     src, dst, pid = net.edges[:, 0], net.edges[:, 1], net.edges[:, 2]
     out = np.zeros(net.n_param)
     np.add.at(out, pid, delta[dst] * g[src])
@@ -241,31 +217,27 @@ def _batch_stat(z_rows: np.ndarray, stat: str) -> np.ndarray:
     raise UnsupportedCombination(f"unknown stat {stat!r}")
 
 
+def _check_blend(alpha: float, stat: str):
+    if stat not in VALID_STATS:
+        raise UnsupportedCombination(f"unknown stat {stat!r}")
+    if not 0.0 <= alpha <= 1.0:
+        raise UnsupportedCombination(f"alpha={alpha} outside [0, 1]")
+
+
 def ddp_gamma(net: NetworkGraph, theta: np.ndarray, batch: np.ndarray, alpha: float, stat: str = "second_moment") -> GammaState:
     """Blended per-node measure: alpha * S(z_v) + (1-alpha) * sum gamma2_u w^2.
 
     Input nodes seed the data-independent recursion with 1.  S is the batch
     variance or second moment of the pre-activation at v.
     """
-    if stat not in VALID_STATS:
-        raise UnsupportedCombination(f"unknown stat {stat!r}")
-    if not 0.0 <= alpha <= 1.0:
-        raise UnsupportedCombination(f"alpha={alpha} outside [0, 1]")
+    _check_blend(alpha, stat)
     if alpha > 0 and (batch is None or len(batch) == 0):
         raise InsufficientData("data-dependent measure needs a non-empty batch")
     if alpha == 0.0:
         state, _ = path_reg_dp(net, theta)
         return state
-
     trace = forward(net, theta, batch)
-    w2 = theta[net.edges[:, 2]] ** 2
-    g = np.zeros(net.n_nodes)
-    g[net.source_nodes] = 1.0
-    s_all = _batch_stat(trace.z, stat)
-    for v in net.topo:
-        if net.in_edges[v]:
-            eids, srcs, _ = net.in_edges[v]
-            g[v] = alpha * s_all[v] + (1.0 - alpha) * (w2[eids] @ g[srcs])
+    g = path_sum(net, (1.0 - alpha) * theta[net.edges[:, 2]] ** 2, alpha * _batch_stat(trace.z, stat))
     return GammaState(gamma2=g, gamma2_net=float(g[net.output_nodes].sum()))
 
 
@@ -289,8 +261,7 @@ def ddp_kappa(net: NetworkGraph, theta: np.ndarray, batch: np.ndarray, alpha: fl
     coupling through the batch mean, matching the usual per-example
     treatment of normalization statistics.
     """
-    if stat not in VALID_STATS:
-        raise UnsupportedCombination(f"unknown stat {stat!r}")
+    _check_blend(alpha, stat)
     if alpha == 0.0:
         return kappa1(net, theta)
     _check_no_sharing(net)
@@ -301,17 +272,11 @@ def ddp_kappa(net: NetworkGraph, theta: np.ndarray, batch: np.ndarray, alpha: fl
     n = trace.batch_size
     V = net.n_nodes
     w = theta[net.edges[:, 2]]
-    w2 = w**2
 
-    gamma = ddp_gamma(net, theta, batch, alpha, stat).gamma2
-
+    blend_w2 = (1.0 - alpha) * w**2
+    gamma = path_sum(net, blend_w2, alpha * _batch_stat(trace.z, stat))
     # A_v = d gamma2_net / d gamma2_v
-    A = np.zeros(V)
-    A[net.output_nodes] = 1.0
-    for v in net.topo[::-1]:
-        if net.in_edges[v]:
-            eids, srcs, _ = net.in_edges[v]
-            np.add.at(A, srcs, (1.0 - alpha) * w2[eids] * A[v])
+    A = path_sum_backward(net, blend_w2)
 
     out_w = [[] for _ in range(V)]
     out_v = [[] for _ in range(V)]

@@ -8,7 +8,7 @@ resume bit-identical to an uninterrupted run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,17 +126,10 @@ def train(net: NetworkGraph, train_set: Dataset, cfg: TrainConfig, test_set: Dat
     X_all = train_set.flat_inputs()
     history = []
     for epoch in range(first_epoch, cfg.epochs):
-        opt = OptimizerConfig(
-            method=cfg.optimizer.method,
+        opt = replace(
+            cfg.optimizer,
             lr=cfg.optimizer.lr * (cfg.lr_decay**epoch),
-            alpha=cfg.optimizer.alpha,
-            stat=cfg.optimizer.stat,
-            use_kappa2=cfg.optimizer.use_kappa2,
-            kappa_floor=cfg.optimizer.kappa_floor,
-            seed=cfg.optimizer.seed,
             momentum=(min(cfg.momentum_max, cfg.momentum_start + cfg.momentum_step * epoch) if cfg.momentum_start is not None else cfg.optimizer.momentum),
-            loss=cfg.optimizer.loss,
-            margin_gamma=cfg.optimizer.margin_gamma,
         )
         n_before = len(state.reports)
         diverged = False

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathgeo.cli import main
+from pathgeo.cli import main, optimizer_from_config
 
 
 BASE_CONFIG = {
@@ -122,6 +122,10 @@ class TestChecks:
         assert doc["pass"]
         assert doc["gamma2_rel_err"] <= 1e-12
         assert doc["kappa_rel_err"] <= 1e-9
+
+
+def test_optimizer_config_keeps_margin_gamma():
+    assert optimizer_from_config({"loss": "margin", "margin_gamma": 0.25}).margin_gamma == 0.25
 
 
 class TestSweeps:

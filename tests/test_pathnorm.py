@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pathgeo import netgraph, pathnorm
 from pathgeo.errors import InsufficientData, UnsupportedCombination
+from pathgeo.invariance import path_norm
 from pathgeo.netgraph import RNNSpec, build_layered, build_random_dag, build_rnn_unrolled
 from pathgeo.pathnorm import (
     ddp_gamma,
@@ -199,6 +200,12 @@ class TestDDP:
         kap = ddp_kappa(net, theta, np.array([[1.0]]), alpha=1.0, stat="second_moment")
         np.testing.assert_allclose(kap, [b * b, a * a], rtol=1e-12)
 
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5])
+    def test_kappa_rejects_alpha_outside_unit_interval(self, rng, alpha):
+        net = build_layered([2, 3, 2])
+        with pytest.raises(UnsupportedCombination):
+            ddp_kappa(net, random_theta(net, rng), rng.normal(size=(4, 2)), alpha=alpha)
+
     def test_kappa_rejects_shared(self, rng):
         spec = RNNSpec(n_in=1, hidden=(2,), n_out=1, T=2)
         net = build_rnn_unrolled(spec)
@@ -230,10 +237,33 @@ class TestDDP:
 @settings(max_examples=25, deadline=None)
 @given(
     dims=st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=4),
+    bias=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-def test_property_dp_equals_bruteforce(dims, seed):
-    net = build_layered(dims)
+def test_property_dp_equals_bruteforce(dims, bias, seed):
+    net = build_layered(dims, bias=bias)
     theta = np.random.default_rng(seed).normal(size=net.n_param)
     _, dp = path_reg_dp(net, theta)
     assert dp == pytest.approx(path_reg_bruteforce(net, theta), rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("bias", [False, True])
+def test_layered_path_sums_match_generic_walk(rng, bias):
+    """The layered matrix backend of path_sum against the topological walk."""
+    net = build_layered([4, 5, 3, 2], bias=bias)
+    generic = netgraph.NetworkGraph(
+        node_kind=net.node_kind.copy(), edges=net.edges.copy(),
+        n_param=net.n_param, allow_unused_params=True,
+    )
+    theta = random_theta(net, rng)
+    X = rng.normal(size=(6, 4))
+    for fn in (
+        lambda n: path_reg_dp(n, theta)[0].gamma2,
+        lambda n: kappa1(n, theta),
+        lambda n: ddp_gamma(n, theta, X, alpha=0.5).gamma2,
+        lambda n: ddp_kappa(n, theta, X, alpha=0.5),
+    ):
+        np.testing.assert_allclose(fn(net), fn(generic), rtol=1e-12, atol=0.0)
+    for p in (1.0, 2.0):
+        assert path_norm(net, theta, p) == pytest.approx(path_norm(generic, theta, p), rel=1e-12)
+    assert netgraph.count_paths(net) == netgraph.count_paths(generic)
