@@ -26,6 +26,7 @@ from .invariance import (
     path_norm,
     random_rescaling,
     rescale_feedforward,
+    rescale_rnn,
 )
 from .measures import margin as margin_fn
 from .measures import norm_measures, pac_bayes_curve
@@ -41,8 +42,8 @@ from .netgraph import (
     net_to_json,
     save_params,
 )
-from .optim import OptimizerConfig, path_sgd_step
-from .pathnorm import kappa1, kappa2_rnn, kappa_bruteforce, path_reg_bruteforce, path_reg_dp
+from .optim import OptimizerConfig, path_kappa, path_sgd_step
+from .pathnorm import kappa_bruteforce, path_reg_bruteforce, path_reg_dp
 from .train import Checkpoint, TrainConfig, init_params, train
 
 
@@ -110,17 +111,14 @@ def optimizer_from_config(doc: dict) -> OptimizerConfig:
     )
 
 
+def _present(doc: dict, keys) -> dict:
+    """The entries of doc under keys, so that absent keys take the callee's defaults."""
+    return {k: doc[k] for k in keys if k in doc}
+
+
 def train_config_from(doc: dict) -> TrainConfig:
-    return TrainConfig(
-        optimizer=optimizer_from_config(doc),
-        epochs=doc.get("epochs", 20),
-        batch_size=doc.get("batch_size", 100),
-        seed=doc.get("seed", 0),
-        lr_decay=doc.get("lr_decay", 0.99),
-        momentum_start=doc.get("momentum_start", 0.5),
-        momentum_max=doc.get("momentum_max", 0.9),
-        momentum_step=doc.get("momentum_step", 0.02),
-    )
+    schedule = ("epochs", "batch_size", "seed", "lr_decay", "momentum_start", "momentum_max", "momentum_step")
+    return TrainConfig(optimizer=optimizer_from_config(doc), **_present(doc, schedule))
 
 
 METRIC_FIELDS = ("step", "epoch", "train_loss", "train_err", "test_err", "kappa_min", "kappa_max", "gamma2_net")
@@ -202,15 +200,10 @@ def cmd_invariance_check(args) -> int:
 
     theta_r = None
     if net.rnn is not None:
-        from .invariance import rescale_rnn
-        from .netgraph import rnn_forward
-
-        spec = net.rnn
-        alpha = [rng.lognormal(0.0, 1.0, size=n) for n in spec.hidden]
-        theta_a = rescale_rnn(spec, theta, alpha)
-        seqs = rng.normal(size=(100, spec.T, spec.n_in))
-        dev = float(np.max(np.abs(rnn_forward(spec, theta, seqs)[2] - rnn_forward(spec, theta_a, seqs)[2])))
-        checks.append({"name": "rnn_rescaling_preserves_function", "max_dev": dev, "pass": bool(dev <= 1e-9)})
+        alpha = [rng.lognormal(0.0, 1.0, size=n) for n in net.rnn.hidden]
+        theta_a = rescale_rnn(net.rnn, theta, alpha)
+        ok, dev = check_function_equal(net, theta, theta_a, rng.normal(size=probes.shape), tol=1e-9)
+        checks.append({"name": "rnn_rescaling_preserves_function", "max_dev": dev, "pass": bool(ok)})
     else:
         beta = random_rescaling(net, rng)
         try:
@@ -253,17 +246,13 @@ def cmd_kappa_audit(args) -> int:
     if n_paths > doc.get("path_cap", 10**5):
         print(f"net has {n_paths} paths; audit runs on small nets only", file=sys.stderr)
         return 2
-    _, dp = path_reg_dp(net, theta)
+    gamma_state, dp = path_reg_dp(net, theta)
     bf = path_reg_bruteforce(net, theta)
     gamma_rel = abs(dp - bf) / max(abs(bf), 1e-300)
-    k_fast = kappa1(net, theta)
-    if net.rnn is not None:
-        k_fast = k_fast + kappa2_rnn(net.rnn, theta)
-    kv = kappa_bruteforce(net, theta)
-    k_bf = kv.kappa
+    k_fast = path_kappa(net, theta, use_kappa2=True)
+    k_bf = kappa_bruteforce(net, theta).kappa
     scale = max(float(np.abs(k_bf).max()), 1e-300)
     kappa_rel = float(np.abs(k_fast - k_bf).max() / scale)
-    gamma_state, _ = path_reg_dp(net, theta)
     out_doc = {
         "n_paths": n_paths,
         "gamma2_dp": dp,
@@ -295,15 +284,7 @@ def cmd_sweep_hidden(args) -> int:
     meta = {"config_hash": config_hash(doc), "seed": doc.get("seed", 0)}
     h_list = _parse_list(doc.get("h_list", "32,64,128"))
     seeds = _parse_list(doc.get("seeds", str(doc.get("seed", 0))))
-    rows = protocols.hidden_sweep(
-        h_list, seeds,
-        m_train=doc.get("m_train", 2000),
-        m_test=doc.get("m_test", 1000),
-        epochs=doc.get("epochs", 150),
-        method=doc.get("method", "sgd"),
-        lr=doc.get("lr", 0.1),
-        mnist_dir=doc.get("mnist_dir"),
-    )
+    rows = protocols.hidden_sweep(h_list, seeds, **_present(doc, ("m_train", "m_test", "epochs", "method", "lr", "mnist_dir")))
     fields = ("H", "seed", "train_err", "test_err", "train_loss", "margin", "l2", "l1_path", "l2_path", "spectral")
     write_csv(out / "sweep_hidden.csv", rows, fields, meta)
     return 0
@@ -318,11 +299,7 @@ def cmd_addition_bench(args) -> int:
     methods = tuple(str(doc.get("methods", "path_sgd,sgd")).split(","))
     rows = protocols.addition_bench(
         t_list, methods=methods,
-        hidden=doc.get("hidden", 32),
-        m_train=doc.get("m_train", 10000),
-        m_test=doc.get("m_test", 1000),
-        epochs=doc.get("epochs", 30),
-        seed=doc.get("seed", 0),
+        **_present(doc, ("hidden", "m_train", "m_test", "epochs", "seed")),
     )
     write_csv(out / "addition_bench.csv", rows, ("T", "method", "test_mse", "train_loss"), meta)
     return 0

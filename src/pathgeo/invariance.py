@@ -131,9 +131,14 @@ def check_function_equal(net: NetworkGraph, theta1: np.ndarray, theta2: np.ndarr
 # -- balancing ----------------------------------------------------------------
 
 
+def _row_norms(W: np.ndarray, p: float) -> np.ndarray:
+    """l_p norm of each row of W (each unit's incoming weights)."""
+    return np.sum(np.abs(W) ** p, axis=1) ** (1.0 / p)
+
+
 def matrix_group_norm(mats: list[np.ndarray], p: float, q: float) -> float:
     """l_p over each row (a unit's incoming weights), l_q across the rows of all mats."""
-    rows = np.concatenate([np.sum(np.abs(W) ** p, axis=1) ** (1.0 / p) for W in mats])
+    rows = np.concatenate([_row_norms(W, p) for W in mats])
     if np.isinf(q):
         return float(rows.max())
     return float(np.sum(rows**q) ** (1.0 / q))
@@ -160,7 +165,7 @@ def product_norm(net: NetworkGraph, theta: np.ndarray, p: float, q: float) -> fl
 
 def path_norm(net: NetworkGraph, theta: np.ndarray, p: float) -> float:
     """phi_p: (sum over paths of the product of |w|^p)^(1/p), by forward DP."""
-    acc = path_sum(net, np.abs(theta[net.edges[:, 2]]) ** p)
+    acc = path_sum(net, np.abs(theta) ** p)
     return float(acc[net.output_nodes].sum() ** (1.0 / p))
 
 
@@ -191,7 +196,7 @@ def balance_per_unit(net: NetworkGraph, theta: np.ndarray, p: float, max_sweeps:
         worst = 0.0
         for k in range(d - 1):
             W = mats[k]
-            r = np.sum(np.abs(W) ** p, axis=1) ** (1.0 / p)
+            r = _row_norms(W, p)
             live = r > 0
             worst = max(worst, float(np.abs(r[live] - 1.0).max(initial=0.0)))
             W[live] /= r[live, None]

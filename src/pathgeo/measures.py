@@ -3,7 +3,7 @@
 All norm-based quantities are reported divided by the margin squared, so
 they are comparable across nets whose outputs differ only by scale.  Path
 based measures are path sums of transformed weight matrices, computed by
-`netgraph.layered_path_sum`, the layered backend of `netgraph.path_sum`;
+`netgraph.layered_path_sum`, which `LayeredBackend.path_sum` also runs;
 nothing here enumerates paths.
 """
 

@@ -6,14 +6,19 @@ weight sharing is the map edge -> param; the free parameters are a flat
 float64 vector indexed by param id.
 
 Layered fully connected nets and time-unrolled RNNs are built by helpers
-that record their structure, which lets `forward`/`backward` dispatch to
-vectorized implementations.  The generic per-node implementation is the
-reference semantics and is what the oracles exercise.
+that record their structure (`dims`, `rnn`).  `NetworkGraph.__post_init__`
+reads it once and attaches one backend per net kind: `LayeredBackend`
+(one matrix product per layer), `RNNBackend` (the RNN's own matrix
+recursion) or `DagBackend` (topological walks, the reference semantics the
+other two are checked against and the one the oracles exercise).  That is
+the only place an implementation is chosen by net kind: `forward`,
+`backward`, `path_sum`, `path_sum_backward` and the initialization in
+`train.init_params` all delegate to `net.backend`.
 
 `path_sum` / `path_sum_backward` are the one place that sums, over paths,
-products of per-edge values; the path regularizer, kappa, the data
+products of per-parameter values; the path regularizer, kappa, the data
 dependent blend, path norms and path counts are all that pair evaluated
-on transformed weights, and the norm measures call its layered backend
+on transformed weights, and the norm measures call the layered recursion
 `layered_path_sum` on their matrices.
 """
 
@@ -71,10 +76,6 @@ class RNNSpec:
             object.__setattr__(self, "output_times", (self.T,))
         if any(t < 1 or t > self.T for t in self.output_times):
             raise InvalidArchitecture("output_times must lie in [1, T]")
-
-    @property
-    def depth(self) -> int:
-        return len(self.hidden) + 1
 
     def param_layout(self):
         """Slices of the flat parameter vector: per layer (w_in, w_rec), then w_out."""
@@ -137,6 +138,7 @@ class NetworkGraph:
     source_nodes: np.ndarray = field(init=False, repr=False)
     output_nodes: np.ndarray = field(init=False, repr=False)
     internal_nodes: np.ndarray = field(init=False, repr=False)
+    backend: DagBackend = field(init=False, repr=False)
 
     def __post_init__(self):
         self.node_kind = np.asarray(self.node_kind, dtype=np.int8)
@@ -147,6 +149,12 @@ class NetworkGraph:
         self.internal_nodes = np.flatnonzero(kinds == NODE_INTERNAL)
         self.source_nodes = np.flatnonzero((kinds == NODE_INPUT) | (kinds == NODE_BIAS))
         self._validate_and_index()
+        if self.dims is not None:
+            self.backend = LayeredBackend(self)
+        elif self.rnn is not None:
+            self.backend = RNNBackend(self)
+        else:
+            self.backend = DagBackend(self)
 
     # -- structure ---------------------------------------------------------
 
@@ -328,6 +336,28 @@ def build_layered(dims, bias: bool = False) -> NetworkGraph:
     )
 
 
+def rnn_node_ids(spec: RNNSpec):
+    """Node ids of the unrolled RNN, numbered step by step: inputs, hidden layers, outputs.
+
+    Returns (layers, outputs): layers holds the inputs (T, n_in), then
+    (T, n_i) per hidden layer bottom-up; outputs is (len(output_times), n_out).
+    """
+    sizes = (spec.n_in,) + spec.hidden
+    is_out = np.isin(np.arange(1, spec.T + 1), spec.output_times)
+    start = np.arange(spec.T) * sum(sizes) + spec.n_out * (np.cumsum(is_out) - is_out)
+    first = np.cumsum((0,) + sizes)
+    layers = [start[:, None] + first[i] + np.arange(n) for i, n in enumerate(sizes)]
+    outputs = start[np.asarray(spec.output_times) - 1, None] + first[-1] + np.arange(spec.n_out)
+    return layers, outputs
+
+
+def _dense_edges(src, dst, p0) -> np.ndarray:
+    """(len(dst), len(src), 3) edge rows [src[k], dst[j], p0 + j * len(src) + k]."""
+    shape = (len(dst), len(src))
+    pid = p0 + np.arange(shape[0] * shape[1]).reshape(shape)
+    return np.stack([np.broadcast_to(src, shape), np.broadcast_to(dst[:, None], shape), pid], axis=-1)
+
+
 def build_rnn_unrolled(spec: RNNSpec) -> NetworkGraph:
     """Time-unroll an RNN into a DAG; all time copies of an edge share one param.
 
@@ -335,44 +365,24 @@ def build_rnn_unrolled(spec: RNNSpec) -> NetworkGraph:
     time 0 is identically zero), so unused param ids are permitted here.
     """
     layout, s_out, n_param = spec.param_layout()
-    sizes = (spec.n_in,) + spec.hidden
-    node_of = {}
-    kinds = []
-    nid = 0
-    for t in range(1, spec.T + 1):
-        for k in range(spec.n_in):
-            node_of[(t, 0, k)] = nid
-            kinds.append(NODE_INPUT)
-            nid += 1
-        for i, n_i in enumerate(spec.hidden, start=1):
-            for j in range(n_i):
-                node_of[(t, i, j)] = nid
-                kinds.append(NODE_INTERNAL)
-                nid += 1
-        if t in spec.output_times:
-            for m in range(spec.n_out):
-                node_of[(t, "out", m)] = nid
-                kinds.append(NODE_OUTPUT)
-                nid += 1
+    layers, outputs = rnn_node_ids(spec)
+    kinds = np.full(sum(ids.size for ids in layers) + outputs.size, NODE_INTERNAL, dtype=np.int8)
+    kinds[layers[0]] = NODE_INPUT
+    kinds[outputs] = NODE_OUTPUT
     edges = []
-    for t in range(1, spec.T + 1):
-        for i, n_i in enumerate(spec.hidden, start=1):
-            s_in, s_rec = layout[i - 1]
-            n_prev = sizes[i - 1]
-            for j in range(n_i):
-                for k in range(n_prev):
-                    edges.append((node_of[(t, i - 1, k)], node_of[(t, i, j)], s_in.start + j * n_prev + k))
-                if t >= 2:
-                    for k in range(n_i):
-                        edges.append((node_of[(t - 1, i, k)], node_of[(t, i, j)], s_rec.start + j * n_i + k))
-        if t in spec.output_times:
-            n_top = sizes[-1]
-            for m in range(spec.n_out):
-                for k in range(n_top):
-                    edges.append((node_of[(t, spec.depth - 1, k)], node_of[(t, "out", m)], s_out.start + m * n_top + k))
+    for t in range(spec.T):
+        for i, (s_in, s_rec) in enumerate(layout):
+            below, layer = layers[i], layers[i + 1]
+            blocks = [_dense_edges(below[t], layer[t], s_in.start)]
+            if t:
+                blocks.append(_dense_edges(layer[t - 1], layer[t], s_rec.start))
+            edges.append(np.concatenate(blocks, axis=1).reshape(-1, 3))
+        if t + 1 in spec.output_times:
+            top = _dense_edges(layers[-1][t], outputs[spec.output_times.index(t + 1)], s_out.start)
+            edges.append(top.reshape(-1, 3))
     return NetworkGraph(
-        node_kind=np.array(kinds, dtype=np.int8),
-        edges=np.array(edges, dtype=np.int64),
+        node_kind=kinds,
+        edges=np.concatenate(edges),
         n_param=n_param,
         rnn=spec,
         allow_unused_params=True,
@@ -441,30 +451,11 @@ def forward(net: NetworkGraph, theta: np.ndarray, X: np.ndarray) -> ForwardTrace
     _check_finite("theta", theta)
     _check_finite("X", X)
 
-    B = X.shape[0]
-    V = net.n_nodes
-    z = np.zeros((V, B))
-    h = np.zeros((V, B))
+    z = np.zeros((net.n_nodes, X.shape[0]))
+    h = np.zeros_like(z)
     h[net.node_kind == NODE_BIAS] = 1.0
     h[net.input_nodes] = X.T
-
-    if net.dims is not None:
-        _layered_forward(net, theta, z, h)
-    elif net.rnn is not None:
-        _rnn_unrolled_forward(net, theta, X, z, h)
-    else:
-        w = theta[net.edges[:, 2]]
-        kinds = net.node_kind
-        for v in net.topo:
-            if kinds[v] in (NODE_INPUT, NODE_BIAS):
-                continue
-            eids, srcs, _ = net.in_edges[v] if net.in_edges[v] else (None, None, None)
-            if eids is None:
-                zv = np.zeros(B)
-            else:
-                zv = w[eids] @ h[srcs]
-            z[v] = zv
-            h[v] = zv if kinds[v] == NODE_OUTPUT else np.maximum(zv, 0.0)
+    net.backend.forward(theta, X, z, h)
     return ForwardTrace(z=z, h=h, net=net, theta=theta.copy())
 
 
@@ -473,37 +464,6 @@ def layer_views(net: NetworkGraph, values: np.ndarray) -> list[np.ndarray]:
     slices = net.layer_param_slices()
     fan_in = [n + (1 if net.has_bias else 0) for n in net.dims[:-1]]
     return [values[s].reshape(n, f) for s, n, f in zip(slices, net.dims[1:], fan_in)]
-
-
-def _layered_forward(net, theta, z, h):
-    layers = net.layer_nodes()
-    d = len(net.dims) - 1
-    for k, W in enumerate(layer_views(net, theta), start=1):
-        src = layers[k - 1]
-        tgt = layers[k][: net.dims[k]]
-        zk = W @ h[src]
-        z[tgt] = zk
-        h[tgt] = zk if k == d else np.maximum(zk, 0.0)
-
-
-def _rnn_unrolled_forward(net, theta, X, z, h):
-    spec = net.rnn
-    B = X.shape[0]
-    seqs = X.reshape(B, spec.T, spec.n_in)
-    zs, hs, outs = rnn_forward(spec, theta, seqs)
-    nid = 0
-    out_idx = 0
-    for t in range(1, spec.T + 1):
-        nid += spec.n_in
-        for i, n_i in enumerate(spec.hidden):
-            z[nid : nid + n_i] = zs[i][:, t - 1].T
-            h[nid : nid + n_i] = hs[i][:, t - 1].T
-            nid += n_i
-        if t in spec.output_times:
-            z[nid : nid + spec.n_out] = outs[:, out_idx].T
-            h[nid : nid + spec.n_out] = outs[:, out_idx].T
-            nid += spec.n_out
-            out_idx += 1
 
 
 def rnn_forward(spec: RNNSpec, theta: np.ndarray, seqs: np.ndarray):
@@ -579,91 +539,30 @@ def backward(net: NetworkGraph, theta: np.ndarray, trace: ForwardTrace, dL_doutp
     n_out = len(net.output_nodes)
     if dL.shape != (trace.batch_size, n_out):
         raise ContractViolation(f"dL_doutputs shape {dL.shape}, expected ({trace.batch_size}, {n_out})")
-
-    if net.dims is not None:
-        return _layered_backward(net, theta, trace, dL)
-    if net.rnn is not None:
-        spec = net.rnn
-        B = trace.batch_size
-        seqs = trace.h[net.input_nodes].T.reshape(B, spec.T, spec.n_in)
-        zs, hs, _ = rnn_forward(spec, theta, seqs)
-        return rnn_backward(spec, theta, seqs, zs, hs, dL.reshape(B, len(spec.output_times), spec.n_out))
-
-    V, B = trace.z.shape
-    w = theta[net.edges[:, 2]]
-    d_h = np.zeros((V, B))
-    d_h[net.output_nodes] = dL.T
-    grad = np.zeros(net.n_param)
-    kinds = net.node_kind
-    for v in net.topo[::-1]:
-        if kinds[v] in (NODE_INPUT, NODE_BIAS) or not net.in_edges[v]:
-            continue
-        dz = d_h[v] if kinds[v] == NODE_OUTPUT else d_h[v] * (trace.z[v] > 0)
-        eids, srcs, pids = net.in_edges[v]
-        np.add.at(grad, pids, trace.h[srcs] @ dz)
-        d_h_update = np.outer(w[eids], dz)
-        np.add.at(d_h, srcs, d_h_update)
-    return grad
-
-
-def _layered_backward(net, theta, trace, dL):
-    layers = net.layer_nodes()
-    slices = net.layer_param_slices()
-    mats = layer_views(net, theta)
-    d = len(net.dims) - 1
-    grad = np.zeros(net.n_param)
-    d_h = dL.T  # (n_d, B) at the output layer
-    for k in range(d, 0, -1):
-        W = mats[k - 1]
-        tgt = layers[k][: net.dims[k]]
-        dz = d_h if k == d else d_h * (trace.z[tgt] > 0)
-        grad[slices[k - 1]] = (dz @ trace.h[layers[k - 1]].T).ravel()
-        if k > 1:
-            d_h = (W[:, : net.dims[k - 1]].T @ dz)
-    return grad
+    return net.backend.backward(theta, trace, dL)
 
 
 # -- path machinery ----------------------------------------------------------
 
 
-def path_sum(net: NetworkGraph, edge_values: np.ndarray, offset: np.ndarray | None = None) -> np.ndarray:
+def path_sum(net: NetworkGraph, values: np.ndarray, offset: np.ndarray | None = None) -> np.ndarray:
     """(V,) per node v: sum over source->v paths of the product of edge values.
 
-    edge_values is per edge, in `net.edges` order.  Sources carry 1.  With
-    `offset` (V,), every node with incoming edges also adds offset[v], so a
-    path may start at any such node u with weight offset[u].  Layered nets
-    take one matrix-vector product per layer; every other net walks the
-    topological order, which is the reference semantics.
+    values is per parameter (length n_param); an edge takes the value of its
+    parameter.  Sources carry 1.  With `offset` (V,), every node with
+    incoming edges also adds offset[v], so a path may start at any such node
+    u with weight offset[u].  The net's backend does the sum.
     """
-    if net.dims is not None:
-        offsets = None
-        if offset is not None:
-            offsets = [offset[ids[:n]] for ids, n in zip(net.layer_nodes()[1:], net.dims[1:])]
-        return np.concatenate(layered_path_sum(layer_views(net, edge_values), net.has_bias, offsets))
-    g = np.zeros(net.n_nodes)
-    g[net.source_nodes] = 1.0
-    for v in net.topo:
-        if net.in_edges[v]:
-            eids, srcs, _ = net.in_edges[v]
-            through = edge_values[eids] @ g[srcs]
-            g[v] = through if offset is None else offset[v] + through
-    return g
+    if values.shape != (net.n_param,):
+        raise ContractViolation(f"values shape {values.shape}, expected ({net.n_param},)")
+    return net.backend.path_sum(values, offset)
 
 
-def path_sum_backward(net: NetworkGraph, edge_values: np.ndarray) -> np.ndarray:
-    """(V,) per node v: sum over v->output paths of the product of edge values."""
-    if net.dims is not None:
-        delta = [np.ones(net.dims[-1])]
-        for M in reversed(layer_views(net, edge_values)):
-            delta.insert(0, M.T @ delta[0][: M.shape[0]])  # a bias entry has no incoming edges
-        return np.concatenate(delta)
-    delta = np.zeros(net.n_nodes)
-    delta[net.output_nodes] = 1.0
-    for v in net.topo[::-1]:
-        if net.in_edges[v]:
-            eids, srcs, _ = net.in_edges[v]
-            np.add.at(delta, srcs, edge_values[eids] * delta[v])
-    return delta
+def path_sum_backward(net: NetworkGraph, values: np.ndarray) -> np.ndarray:
+    """(V,) per node v: sum over v->output paths of the product of per-parameter values."""
+    if values.shape != (net.n_param,):
+        raise ContractViolation(f"values shape {values.shape}, expected ({net.n_param},)")
+    return net.backend.path_sum_backward(values)
 
 
 def layered_path_sum(mats: list[np.ndarray], bias: bool = False, offsets: list[np.ndarray] | None = None) -> list[np.ndarray]:
@@ -689,9 +588,47 @@ def layered_path_sum(mats: list[np.ndarray], bias: bool = False, offsets: list[n
     return out
 
 
+def rnn_path_sums(spec: RNNSpec, values: np.ndarray, offsets: list[np.ndarray] | None = None) -> list[np.ndarray]:
+    """`path_sum` of the unrolled RNN by its matrix recursion, per parameter values.
+
+    Returns the hidden layers' and then the outputs' entries, shaped as in
+    `rnn_node_ids`; offsets[i], when given, is added to entry i.
+    """
+    w_in, w_rec, w_out = spec.unpack(values)
+    out = []
+    prev = np.ones((spec.T, spec.n_in))
+    for i, n_i in enumerate(spec.hidden):
+        g = np.empty((spec.T, n_i))
+        g_last = np.zeros(n_i)
+        for t in range(spec.T):
+            g_last = w_in[i] @ prev[t] + w_rec[i] @ g_last
+            if offsets is not None:
+                g_last = offsets[i][t] + g_last
+            g[t] = g_last
+        out.append(g)
+        prev = g
+    g_out = np.stack([w_out @ prev[t - 1] for t in spec.output_times])
+    return out + [g_out if offsets is None else offsets[-1] + g_out]
+
+
+def rnn_path_sums_backward(spec: RNNSpec, values: np.ndarray) -> list[np.ndarray]:
+    """`path_sum_backward` of the unrolled RNN: the inputs' and then the hidden layers' entries."""
+    w_in, w_rec, w_out = spec.unpack(values)
+    delta = [np.zeros((spec.T, n)) for n in (spec.n_in,) + spec.hidden]
+    ones_out = np.ones(spec.n_out)
+    for t in spec.output_times:
+        delta[-1][t - 1] += w_out.T @ ones_out
+    for i in reversed(range(len(spec.hidden))):
+        for t in reversed(range(spec.T)):
+            if t + 1 < spec.T:
+                delta[i + 1][t] += w_rec[i].T @ delta[i + 1][t + 1]
+            delta[i][t] += w_in[i].T @ delta[i + 1][t]
+    return delta
+
+
 def count_paths(net: NetworkGraph) -> int:
-    """Number of source->output paths: the path sum of all-ones edge values."""
-    c = path_sum(net, np.ones(net.n_edges))
+    """Number of source->output paths: the path sum of all-ones parameter values."""
+    c = path_sum(net, np.ones(net.n_param))
     total = c[net.output_nodes].sum()
     if not np.isfinite(total) or total > 2**62:
         raise TooManyPaths("path count overflow")
@@ -755,6 +692,180 @@ def path_sum_outputs(net: NetworkGraph, theta: np.ndarray, trace: ForwardTrace, 
     for idx in range(len(paths)):
         out[:, out_index[int(paths.tail[idx])]] += contrib[idx]
     return out
+
+
+# -- backends: one per net kind, chosen in NetworkGraph.__post_init__ --------------
+
+
+class DagBackend:
+    """Generic DAG: walks in topological order, the reference semantics.
+
+    A backend serves one net: `forward` fills the (V, B) trace arrays and
+    `init` draws balanced initial parameters; the other methods serve the
+    public functions of the same name.
+    """
+
+    def __init__(self, net: NetworkGraph):
+        self.net = net
+
+    def forward(self, theta, X, z, h):
+        """Fill pre-activations z and outputs h; h already holds inputs and bias ones."""
+        net = self.net
+        w = theta[net.edges[:, 2]]
+        for v in net.topo:
+            if net.in_edges[v]:  # sources have none; an output without any stays 0
+                eids, srcs, _ = net.in_edges[v]
+                z[v] = w[eids] @ h[srcs]
+                h[v] = z[v] if net.node_kind[v] == NODE_OUTPUT else np.maximum(z[v], 0.0)
+
+    def backward(self, theta, trace, dL):
+        net = self.net
+        w = theta[net.edges[:, 2]]
+        d_h = np.zeros_like(trace.z)
+        d_h[net.output_nodes] = dL.T
+        grad = np.zeros(net.n_param)
+        for v in net.topo[::-1]:
+            if net.in_edges[v]:
+                dz = d_h[v] if net.node_kind[v] == NODE_OUTPUT else d_h[v] * (trace.z[v] > 0)
+                eids, srcs, pids = net.in_edges[v]
+                np.add.at(grad, pids, trace.h[srcs] @ dz)
+                np.add.at(d_h, srcs, np.outer(w[eids], dz))
+        return grad
+
+    def path_sum(self, values, offset=None):
+        net = self.net
+        edge_values = values[net.edges[:, 2]]
+        g = np.zeros(net.n_nodes)
+        g[net.source_nodes] = 1.0
+        for v in net.topo:
+            if net.in_edges[v]:
+                eids, srcs, _ = net.in_edges[v]
+                through = edge_values[eids] @ g[srcs]
+                g[v] = through if offset is None else offset[v] + through
+        return g
+
+    def path_sum_backward(self, values):
+        net = self.net
+        edge_values = values[net.edges[:, 2]]
+        delta = np.zeros(net.n_nodes)
+        delta[net.output_nodes] = 1.0
+        for v in net.topo[::-1]:
+            if net.in_edges[v]:
+                eids, srcs, _ = net.in_edges[v]
+                np.add.at(delta, srcs, edge_values[eids] * delta[v])
+        return delta
+
+    def init(self, rng):
+        """N(0, 1/fan-in) on the incoming parameters of each node."""
+        theta = np.zeros(self.net.n_param)
+        for v in range(self.net.n_nodes):
+            if self.net.in_edges[v]:
+                _, _, pids = self.net.in_edges[v]
+                theta[pids] = rng.normal(0.0, 1.0 / np.sqrt(len(pids)), size=len(pids))
+        return theta
+
+
+class LayeredBackend(DagBackend):
+    """Fully connected layered nets: one matrix product per layer."""
+
+    def forward(self, theta, X, z, h):
+        net = self.net
+        layers = net.layer_nodes()
+        d = len(net.dims) - 1
+        for k, W in enumerate(layer_views(net, theta), start=1):
+            tgt = layers[k][: net.dims[k]]
+            zk = W @ h[layers[k - 1]]
+            z[tgt] = zk
+            h[tgt] = zk if k == d else np.maximum(zk, 0.0)
+
+    def backward(self, theta, trace, dL):
+        net = self.net
+        layers = net.layer_nodes()
+        mats = layer_views(net, theta)
+        d = len(net.dims) - 1
+        grad = np.zeros(net.n_param)
+        grads = layer_views(net, grad)
+        d_h = dL.T  # (n_d, B) at the output layer
+        for k in range(d, 0, -1):
+            tgt = layers[k][: net.dims[k]]
+            dz = d_h if k == d else d_h * (trace.z[tgt] > 0)
+            grads[k - 1][:] = dz @ trace.h[layers[k - 1]].T
+            if k > 1:
+                d_h = mats[k - 1][:, : net.dims[k - 1]].T @ dz
+        return grad
+
+    def path_sum(self, values, offset=None):
+        net = self.net
+        units = zip(net.layer_nodes()[1:], net.dims[1:])
+        offsets = None if offset is None else [offset[ids[:n]] for ids, n in units]
+        return np.concatenate(layered_path_sum(layer_views(net, values), net.has_bias, offsets))
+
+    def path_sum_backward(self, values):
+        delta = [np.ones(self.net.dims[-1])]
+        for M in reversed(layer_views(self.net, values)):
+            delta.insert(0, M.T @ delta[0][: M.shape[0]])  # a bias entry has no incoming edges
+        return np.concatenate(delta)
+
+    def init(self, rng):
+        """N(0, 1/fan-in) per unit, zero bias weights."""
+        theta = np.zeros(self.net.n_param)
+        for W, fan_in in zip(layer_views(self.net, theta), self.net.dims[:-1]):
+            W[:] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=W.shape)
+            if self.net.has_bias:
+                W[:, -1] = 0.0
+        return theta
+
+
+def _batch_major(a: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows ids (T, n) of a (V, B) trace array as (B, T, n), laid out (T, B, n) like `rnn_forward`'s."""
+    return np.ascontiguousarray(np.moveaxis(a[ids], -1, 1)).transpose(1, 0, 2)
+
+
+class RNNBackend(DagBackend):
+    """Time-unrolled RNNs: the RNN's own matrix recursions over the shared weights."""
+
+    def __init__(self, net: NetworkGraph):
+        super().__init__(net)
+        self.spec = net.rnn
+        self.layer_ids, self.output_ids = rnn_node_ids(net.rnn)
+
+    def forward(self, theta, X, z, h):
+        seqs = X.reshape(X.shape[0], self.spec.T, self.spec.n_in)
+        zs, hs, outs = rnn_forward(self.spec, theta, seqs)
+        for ids, z_i, h_i in zip(self.layer_ids[1:], zs, hs):
+            z[ids] = np.moveaxis(z_i, 0, -1)
+            h[ids] = np.moveaxis(h_i, 0, -1)
+        z[self.output_ids] = h[self.output_ids] = np.moveaxis(outs, 0, -1)
+
+    def backward(self, theta, trace, dL):
+        spec = self.spec
+        seqs = _batch_major(trace.h, self.layer_ids[0])
+        zs = [_batch_major(trace.z, ids) for ids in self.layer_ids[1:]]
+        hs = [_batch_major(trace.h, ids) for ids in self.layer_ids[1:]]
+        return rnn_backward(spec, theta, seqs, zs, hs, dL.reshape(-1, len(spec.output_times), spec.n_out))
+
+    def path_sum(self, values, offset=None):
+        targets = self.layer_ids[1:] + [self.output_ids]
+        offsets = None if offset is None else [offset[ids] for ids in targets]
+        g = np.ones(self.net.n_nodes)  # the inputs keep their 1
+        for ids, sums in zip(targets, rnn_path_sums(self.spec, values, offsets)):
+            g[ids] = sums
+        return g
+
+    def path_sum_backward(self, values):
+        delta = np.ones(self.net.n_nodes)  # the outputs keep their 1
+        for ids, sums in zip(self.layer_ids, rnn_path_sums_backward(self.spec, values)):
+            delta[ids] = sums
+        return delta
+
+    def init(self, rng):
+        """N(0, 1/fan-in) per unit for every input, recurrent and output matrix."""
+        theta = np.zeros(self.spec.n_param)
+        w_in, w_rec, w_out = self.spec.unpack(theta)
+        draw_order = [W for pair in zip(w_in, w_rec) for W in pair] + [w_out]
+        for W in draw_order:
+            W[:] = rng.normal(0.0, 1.0 / np.sqrt(W.shape[1]), size=W.shape)
+        return theta
 
 
 # -- serialization -----------------------------------------------------------

@@ -6,8 +6,10 @@ per-edge term kappa1 and an interaction term kappa2 that is nonzero only
 when a single path can traverse two edges sharing one parameter (time
 unrolled recurrent nets).  Everything here is computed by dynamic
 programming on the squared-weight network, i.e. `netgraph.path_sum` and
-`netgraph.path_sum_backward` on edge values w^2; brute-force path
-enumeration is provided as the oracle.
+`netgraph.path_sum_backward` on parameter values w^2; brute-force path
+enumeration is provided as the oracle.  Nothing here chooses by net kind:
+the net's backend, picked once in `NetworkGraph.__post_init__`, runs the
+sums, and only `kappa2_rnn` reads an RNN spec, as its data.
 
 The data-dependent variants blend the squared-weight recursion with batch
 statistics of the pre-activations and reduce to the data-independent case
@@ -31,6 +33,8 @@ from .netgraph import (
     forward,
     path_sum,
     path_sum_backward,
+    rnn_path_sums,
+    rnn_path_sums_backward,
 )
 
 VALID_STATS = ("variance", "second_moment")
@@ -59,7 +63,7 @@ class KappaVector:
 
 def path_reg_dp(net: NetworkGraph, theta: np.ndarray) -> tuple[GammaState, float]:
     """Path regularizer by a single forward DP: gamma2_v = sum gamma2_u w^2."""
-    g = path_sum(net, theta[net.edges[:, 2]] ** 2)
+    g = path_sum(net, theta**2)
     total = float(g[net.output_nodes].sum())
     return GammaState(gamma2=g, gamma2_net=total), total
 
@@ -77,68 +81,13 @@ def kappa1(net: NetworkGraph, theta: np.ndarray) -> np.ndarray:
     Computed as the gradient of the squared-weight network's summed output
     at the all-ones input: kappa1_i = sum_{e in E_i} delta_{dst(e)} * gamma2_{src(e)}.
     """
-    if net.rnn is not None:
-        return _kappa1_rnn(net.rnn, theta)
-    w2 = theta[net.edges[:, 2]] ** 2
+    w2 = theta**2
     g = path_sum(net, w2)
     delta = path_sum_backward(net, w2)
     src, dst, pid = net.edges[:, 0], net.edges[:, 1], net.edges[:, 2]
     out = np.zeros(net.n_param)
     np.add.at(out, pid, delta[dst] * g[src])
     return out
-
-
-def _rnn_squared_values(spec: RNNSpec, theta: np.ndarray):
-    """Forward values and backward sensitivities of the squared RNN at all-ones input.
-
-    Returns (hs, deltas): hs[i][t] and deltas[i][t] are (n_i,) vectors for
-    t = 1..T stored at index t-1.
-    """
-    w_in, w_rec, w_out = spec.unpack(theta)
-    w_in = [m**2 for m in w_in]
-    w_rec = [m**2 for m in w_rec]
-    w_out = w_out**2
-    hs = []
-    prev = [np.ones(spec.n_in) for _ in range(spec.T)]
-    for i, n_i in enumerate(spec.hidden):
-        h_i = []
-        h_last = np.zeros(n_i)
-        for t in range(spec.T):
-            h_last = w_in[i] @ prev[t] + w_rec[i] @ h_last
-            h_i.append(h_last)
-        hs.append(h_i)
-        prev = h_i
-    deltas = [[np.zeros(n_i) for _ in range(spec.T)] for n_i in spec.hidden]
-    ones_out = np.ones(spec.n_out)
-    for t in spec.output_times:
-        deltas[-1][t - 1] += w_out.T @ ones_out
-    for i in reversed(range(len(spec.hidden))):
-        for t in reversed(range(spec.T)):
-            if t + 1 < spec.T:
-                deltas[i][t] += w_rec[i].T @ deltas[i][t + 1]
-            if i > 0:
-                deltas[i - 1][t] += w_in[i].T @ deltas[i][t]
-    return hs, deltas
-
-
-def _kappa1_rnn(spec: RNNSpec, theta: np.ndarray) -> np.ndarray:
-    hs, deltas = _rnn_squared_values(spec, theta)
-    g_in, g_rec = [], []
-    prev = [np.ones(spec.n_in) for _ in range(spec.T)]
-    for i, n_i in enumerate(spec.hidden):
-        gi = np.zeros((n_i, spec.n_in if i == 0 else spec.hidden[i - 1]))
-        gr = np.zeros((n_i, n_i))
-        for t in range(spec.T):
-            gi += np.outer(deltas[i][t], prev[t])
-            if t > 0:
-                gr += np.outer(deltas[i][t], hs[i][t - 1])
-        g_in.append(gi)
-        g_rec.append(gr)
-        prev = hs[i]
-    g_out = np.zeros((spec.n_out, spec.hidden[-1]))
-    for t in spec.output_times:
-        g_out += np.outer(np.ones(spec.n_out), hs[-1][t - 1])
-    return spec.pack(g_in, g_rec, g_out)
 
 
 def kappa2_rnn(spec: RNNSpec, theta: np.ndarray) -> np.ndarray:
@@ -151,31 +100,26 @@ def kappa2_rnn(spec: RNNSpec, theta: np.ndarray) -> np.ndarray:
     square and a factor 2 because both orderings of a copy pair carry the
     same weight in the second derivative.
     """
+    out = np.zeros(spec.n_param)
     if spec.T < 3:
-        return np.zeros(spec.n_param)
-    hs, deltas = _rnn_squared_values(spec, theta)
-    w_in, w_rec, w_out = spec.unpack(theta)
-    g_in = [np.zeros_like(m) for m in w_in]
-    g_rec = []
-    for i, n_i in enumerate(spec.hidden):
-        W2 = w_rec[i] ** 2
-        acc = np.zeros((n_i, n_i))
+        return out
+    w2 = theta**2
+    hs = rnn_path_sums(spec, w2)[:-1]
+    deltas = rnn_path_sums_backward(spec, w2)[1:]
+    for W2, g_rec, h_i, delta_i in zip(spec.unpack(w2)[1], spec.unpack(out)[1], hs, deltas):
+        acc = np.zeros_like(W2)
         # powers[s] = (W2^s)[k, j] indexed [k, j]
-        power = np.eye(n_i)
+        power = np.eye(len(W2))
         for s in range(spec.T - 2):
             if s > 0:
                 power = power @ W2
-            inner = np.zeros((n_i, n_i))
-            for t_a in range(2, spec.T + 1):
-                t_b = t_a + s + 1
-                if t_b > spec.T:
-                    break
-                # h at time t_a - 1, delta at time t_b  (1-based times)
-                inner += np.outer(deltas[i][t_b - 1], hs[i][t_a - 2])
+            inner = np.zeros_like(W2)
+            for t_a in range(2, spec.T - s):
+                # h at time t_a - 1, delta at time t_b = t_a + s + 1  (1-based times)
+                inner += np.outer(delta_i[t_a + s], h_i[t_a - 2])
             acc += power.T * inner
-        g_rec.append(4.0 * W2 * acc)
-    g_out = np.zeros_like(w_out)
-    return spec.pack(g_in, g_rec, g_out)
+        g_rec[:] = 4.0 * W2 * acc
+    return out
 
 
 def kappa_bruteforce(net: NetworkGraph, theta: np.ndarray, cap: int | None = None) -> KappaVector:
@@ -237,7 +181,7 @@ def ddp_gamma(net: NetworkGraph, theta: np.ndarray, batch: np.ndarray, alpha: fl
         state, _ = path_reg_dp(net, theta)
         return state
     trace = forward(net, theta, batch)
-    g = path_sum(net, (1.0 - alpha) * theta[net.edges[:, 2]] ** 2, alpha * _batch_stat(trace.z, stat))
+    g = path_sum(net, (1.0 - alpha) * theta**2, alpha * _batch_stat(trace.z, stat))
     return GammaState(gamma2=g, gamma2_net=float(g[net.output_nodes].sum()))
 
 
@@ -273,7 +217,7 @@ def ddp_kappa(net: NetworkGraph, theta: np.ndarray, batch: np.ndarray, alpha: fl
     V = net.n_nodes
     w = theta[net.edges[:, 2]]
 
-    blend_w2 = (1.0 - alpha) * w**2
+    blend_w2 = (1.0 - alpha) * theta**2
     gamma = path_sum(net, blend_w2, alpha * _batch_stat(trace.z, stat))
     # A_v = d gamma2_net / d gamma2_v
     A = path_sum_backward(net, blend_w2)

@@ -37,50 +37,12 @@ class TrainConfig:
     log_gamma: bool = True
 
 
-def init_params(net: NetworkGraph, seed: int, scheme: str = "balanced", rec_identity: bool = False) -> np.ndarray:
+def init_params(net: NetworkGraph, seed: int) -> np.ndarray:
     """Balanced init: incoming weights N(0, 1/fan-in) per unit, zero bias weights.
 
-    For RNNs, rec_identity=True sets each recurrent matrix to the identity
-    and draws the non-recurrent weights uniformly in [-0.01, 0.01].
+    Drawn by the net's backend from the seed's "init" substream.
     """
-    rng = substream(seed, "init")
-    if net.rnn is not None:
-        spec = net.rnn
-        theta = np.zeros(spec.n_param)
-        w_in, w_rec, w_out = spec.unpack(theta)
-        sizes = (spec.n_in,) + spec.hidden
-        mats_in, mats_rec = [], []
-        for i, n_i in enumerate(spec.hidden):
-            if rec_identity:
-                mats_in.append(rng.uniform(-0.01, 0.01, size=(n_i, sizes[i])))
-                mats_rec.append(np.eye(n_i))
-            else:
-                mats_in.append(rng.normal(0.0, 1.0 / np.sqrt(sizes[i]), size=(n_i, sizes[i])))
-                mats_rec.append(rng.normal(0.0, 1.0 / np.sqrt(n_i), size=(n_i, n_i)))
-        if rec_identity:
-            out = rng.uniform(-0.01, 0.01, size=(spec.n_out, spec.hidden[-1]))
-        else:
-            out = rng.normal(0.0, 1.0 / np.sqrt(spec.hidden[-1]), size=(spec.n_out, spec.hidden[-1]))
-        return spec.pack(mats_in, mats_rec, out)
-    if net.dims is None:
-        # generic DAG: N(0, 1/fan-in) per node
-        theta = np.zeros(net.n_param)
-        for v in range(net.n_nodes):
-            if not net.in_edges[v]:
-                continue
-            _, _, pids = net.in_edges[v]
-            theta[pids] = rng.normal(0.0, 1.0 / np.sqrt(len(pids)), size=len(pids))
-        return theta
-    slices = net.layer_param_slices()
-    theta = np.zeros(net.n_param)
-    for k, s in enumerate(slices, start=1):
-        fan_in = net.dims[k - 1]
-        cols = fan_in + (1 if net.has_bias else 0)
-        W = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(net.dims[k], cols))
-        if net.has_bias:
-            W[:, -1] = 0.0
-        theta[s] = W.ravel()
-    return theta
+    return net.backend.init(substream(seed, "init"))
 
 
 def evaluate(net: NetworkGraph, theta: np.ndarray, dataset: Dataset, loss_kind: str, margin_gamma: float = 0.0):

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathgeo.cli import main, optimizer_from_config
+from pathgeo import protocols
+from pathgeo.cli import main, optimizer_from_config, train_config_from
 
 
 BASE_CONFIG = {
@@ -126,6 +127,21 @@ class TestChecks:
 
 def test_optimizer_config_keeps_margin_gamma():
     assert optimizer_from_config({"loss": "margin", "margin_gamma": 0.25}).margin_gamma == 0.25
+
+
+def test_train_config_schedule_defaults_to_train_config():
+    cfg = train_config_from({"momentum": 0.0, "lr": 0.1})
+    assert cfg.momentum_start is None and cfg.lr_decay == 1.0
+
+
+def test_addition_bench_keeps_protocol_defaults(tmp_path, monkeypatch):
+    seen = {}
+    monkeypatch.setattr(protocols, "addition_bench", lambda t_list, **kw: seen.update(kw) or [])
+    cfg = tmp_path / "ab.json"
+    cfg.write_text(json.dumps({"t_list": "4", "hidden": 8}))
+    assert main(["addition-bench", "--config", str(cfg), "--out-dir", str(tmp_path / "ab")]) == 0
+    assert seen["hidden"] == 8
+    assert "m_train" not in seen and "epochs" not in seen
 
 
 class TestSweeps:

@@ -258,6 +258,28 @@ class TestRNN:
         with pytest.raises(InvalidArchitecture):
             RNNSpec(n_in=1, hidden=(1,), n_out=1, T=0)
 
+    def test_backward_reuses_the_forward_trace(self, rng, monkeypatch):
+        spec = RNNSpec(n_in=2, hidden=(3, 2), n_out=2, T=4, output_times=(2, 4))
+        net = build_rnn_unrolled(spec)
+        calls = []
+        recursion = netgraph.rnn_forward
+        monkeypatch.setattr(netgraph, "rnn_forward", lambda *args: calls.append(1) or recursion(*args))
+        theta = random_theta(net, rng)
+        trace = forward(net, theta, rng.normal(size=(5, len(net.input_nodes))))
+        backward(net, theta, trace, rng.normal(size=(5, len(net.output_nodes))))
+        assert len(calls) == 1
+
+    def test_backward_equals_bptt(self, rng):
+        spec = RNNSpec(n_in=2, hidden=(3, 2), n_out=2, T=4, output_times=(2, 4))
+        net = build_rnn_unrolled(spec)
+        theta = random_theta(net, rng)
+        seqs = rng.normal(size=(5, spec.T, spec.n_in))
+        d_out = rng.normal(size=(5, len(net.output_nodes)))
+        grad = backward(net, theta, forward(net, theta, seqs.reshape(5, -1)), d_out)
+        zs, hs, _ = rnn_forward(spec, theta, seqs)
+        expected = netgraph.rnn_backward(spec, theta, seqs, zs, hs, d_out.reshape(5, 2, 2))
+        assert np.array_equal(grad, expected)
+
 
 class TestPaths:
     def test_cap(self):

@@ -247,22 +247,28 @@ def test_property_dp_equals_bruteforce(dims, bias, seed):
     assert dp == pytest.approx(path_reg_bruteforce(net, theta), rel=1e-12, abs=1e-300)
 
 
-@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("bias", [False, True, "rnn"])
 def test_layered_path_sums_match_generic_walk(rng, bias):
-    """The layered matrix backend of path_sum against the topological walk."""
-    net = build_layered([4, 5, 3, 2], bias=bias)
+    """The layered (bias False/True) and RNN backends of the path sums against the topological walk."""
+    if bias == "rnn":
+        net = build_rnn_unrolled(RNNSpec(n_in=2, hidden=(3, 2), n_out=2, T=4, output_times=(2, 4)))
+    else:
+        net = build_layered([4, 5, 3, 2], bias=bias)
     generic = netgraph.NetworkGraph(
         node_kind=net.node_kind.copy(), edges=net.edges.copy(),
         n_param=net.n_param, allow_unused_params=True,
     )
     theta = random_theta(net, rng)
-    X = rng.normal(size=(6, 4))
-    for fn in (
+    X = rng.normal(size=(6, len(net.input_nodes)))
+    checks = [
         lambda n: path_reg_dp(n, theta)[0].gamma2,
         lambda n: kappa1(n, theta),
         lambda n: ddp_gamma(n, theta, X, alpha=0.5).gamma2,
-        lambda n: ddp_kappa(n, theta, X, alpha=0.5),
-    ):
+        lambda n: netgraph.path_sum_backward(n, theta**2),
+    ]
+    if bias != "rnn":  # data-dependent kappa rejects shared weights
+        checks.append(lambda n: ddp_kappa(n, theta, X, alpha=0.5))
+    for fn in checks:
         np.testing.assert_allclose(fn(net), fn(generic), rtol=1e-12, atol=0.0)
     for p in (1.0, 2.0):
         assert path_norm(net, theta, p) == pytest.approx(path_norm(generic, theta, p), rel=1e-12)
