@@ -36,10 +36,10 @@ from .netgraph import (
     build_layered,
     build_rnn_unrolled,
     count_paths,
-    forward,
     load_params,
     net_from_json,
     net_to_json,
+    predict,
     save_params,
 )
 from .optim import OptimizerConfig, path_kappa, path_sgd_step
@@ -167,7 +167,7 @@ def cmd_measure(args) -> int:
     theta = load_params(doc["weights"])
     dataset = dataset_from_manifest(doc["dataset"])
     eps = doc.get("epsilon", 0.05)
-    scores = forward(net, theta, dataset.flat_inputs()).outputs()
+    scores = predict(net, theta, dataset.flat_inputs())
     gamma = margin_fn(scores, dataset.labels, eps=eps)
     report = norm_measures(layer_matrices(net, theta), gamma, bias=net.has_bias)
     write_json(out / "complexity.json", {
@@ -223,7 +223,7 @@ def cmd_invariance_check(args) -> int:
     if theta_r is not None and net.dims is not None:
         cfg = OptimizerConfig(method="path_sgd", lr=0.01, loss="squared")
         X = rng.normal(size=(16, len(net.input_nodes)))
-        y = forward(net, theta, X).outputs() + rng.normal(size=(16, len(net.output_nodes)))
+        y = predict(net, theta, X) + rng.normal(size=(16, len(net.output_nodes)))
         t1 = path_sgd_step(net, theta, X, y, cfg)
         t2 = path_sgd_step(net, theta_r, X, y, cfg)
         _, dev = check_function_equal(net, t1, t2, probes, tol=1e-6)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, InvalidArchitecture, PathGeoError
-from .netgraph import NetworkGraph, forward
+from .netgraph import NetworkGraph, predict
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -225,7 +225,7 @@ def censor_labels(dataset: Dataset, net: NetworkGraph, theta: np.ndarray) -> Dat
     The resulting labels are recorded in provenance, so rebuilds do not
     need the censoring network itself.
     """
-    scores = forward(net, theta, dataset.flat_inputs()).outputs()
+    scores = predict(net, theta, dataset.flat_inputs())
     labels = scores.argmax(axis=1).astype(np.int64)
     prov = {**dataset.provenance, "transforms": dataset.provenance.get("transforms", []) + [("censor", labels.tolist())]}
     return Dataset(dataset.inputs.copy(), labels, dataset.task, prov)

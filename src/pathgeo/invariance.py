@@ -19,9 +19,9 @@ from .netgraph import (
     RNNSpec,
     build_layered,
     enumerate_paths,
-    forward,
     layer_views,
     path_sum,
+    predict,
 )
 
 
@@ -121,9 +121,9 @@ def random_unbalance(net: NetworkGraph, theta: np.ndarray, seed: int, sigma_log:
 
 
 def check_function_equal(net: NetworkGraph, theta1: np.ndarray, theta2: np.ndarray, probes: np.ndarray, tol: float = 1e-9):
-    """Compare forward outputs on probe inputs; returns (equal, max_deviation)."""
-    f1 = forward(net, theta1, probes).outputs()
-    f2 = forward(net, theta2, probes).outputs()
+    """Compare the outputs on probe inputs; returns (equal, max_deviation)."""
+    f1 = predict(net, theta1, probes)
+    f2 = predict(net, theta2, probes)
     dev = float(np.max(np.abs(f1 - f2))) if f1.size else 0.0
     return dev <= tol, dev
 

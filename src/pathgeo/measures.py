@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidEpsilon, InvalidPerturbation, MarginDegenerate
 from .invariance import matrix_group_norm
-from .netgraph import NetworkGraph, forward, layered_path_sum
+from .netgraph import NetworkGraph, forward, layered_path_sum, predict
 from .optim import loss_and_grad, point_margins
 
 
@@ -194,7 +194,7 @@ def max_sharpness(net: NetworkGraph, theta: np.ndarray, X: np.ndarray, labels, a
     cfg = cfg or AscentConfig()
     theta = np.asarray(theta, dtype=np.float64)
     box = alpha * (np.abs(theta) + 1.0)
-    base_loss, _ = _full_loss(net, theta, X, labels, loss)
+    base_loss = _full_loss(net, theta, X, labels, loss)
     if alpha == 0.0:
         return SharpnessEstimate(0.0, alpha, base_loss, base_loss, 0)
     rng = np.random.default_rng(cfg.seed)
@@ -210,14 +210,13 @@ def max_sharpness(net: NetworkGraph, theta: np.ndarray, X: np.ndarray, labels, a
         g = backward(net, theta + u, trace, d_scores)
         vel = cfg.momentum * vel + g
         u = np.clip(u + cfg.step_size * vel, -box, box)
-    peak_loss, _ = _full_loss(net, theta + u, X, labels, loss)
+    peak_loss = _full_loss(net, theta + u, X, labels, loss)
     return SharpnessEstimate(max(peak_loss - base_loss, 0.0), alpha, base_loss, peak_loss, cfg.steps)
 
 
 def _full_loss(net, theta, X, labels, loss):
-    trace = forward(net, theta, X)
-    val, _ = loss_and_grad(loss, trace.outputs(), labels)
-    return val, trace
+    val, _ = loss_and_grad(loss, predict(net, theta, X), labels)
+    return val
 
 
 def pac_bayes_kl(theta: np.ndarray, alpha: float) -> float:
@@ -238,7 +237,7 @@ def pac_bayes_curve(net: NetworkGraph, theta: np.ndarray, X: np.ndarray, labels,
         raise InvalidEpsilon("alpha grid must be positive")
     theta = np.asarray(theta, dtype=np.float64)
     labels = np.asarray(labels)
-    base_loss, _ = _full_loss(net, theta, X, labels, loss)
+    base_loss = _full_loss(net, theta, X, labels, loss)
     scale = 10.0 * np.abs(theta) + 1.0
     kl = np.array([pac_bayes_kl(theta, a) for a in alpha_grid])
     sharp = np.zeros_like(alpha_grid)
@@ -254,7 +253,7 @@ def pac_bayes_curve(net: NetworkGraph, theta: np.ndarray, X: np.ndarray, labels,
                 Xb, yb = X[idx], labels[idx]
             else:
                 Xb, yb = X, labels
-            val, _ = loss_and_grad(loss, forward(net, theta + u, Xb).outputs(), yb)
+            val, _ = loss_and_grad(loss, predict(net, theta + u, Xb), yb)
             acc += val
         sharp[j] = acc / n_perturb - base_loss
     return PacBayesCurve(alphas=alpha_grid, kl=kl, expected_sharpness=sharp)

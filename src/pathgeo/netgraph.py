@@ -12,8 +12,12 @@ reads it once and attaches one backend per net kind: `LayeredBackend`
 recursion) or `DagBackend` (topological walks, the reference semantics the
 other two are checked against and the one the oracles exercise).  That is
 the only place an implementation is chosen by net kind: `forward`,
-`backward`, `path_sum`, `path_sum_backward` and the initialization in
-`train.init_params` all delegate to `net.backend`.
+`predict`, `backward`, `path_sum`, `path_sum_backward` and the
+initialization in `train.init_params` all delegate to `net.backend`.
+
+`forward` keeps what `backward` needs in a `ForwardTrace`, in the backend's
+own layout; `predict` is the outputs-only path, run in fixed row chunks, for
+every caller that reads only f(x).
 
 `path_sum` / `path_sum_backward` are the one place that sums, over paths,
 products of per-parameter values; the path regularizer, kappa, the data
@@ -27,6 +31,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +49,8 @@ NODE_OUTPUT = 2
 NODE_BIAS = 3
 
 DEFAULT_PATH_CAP = 10**6
+
+PREDICT_CHUNK = 1000  # rows per backend call in `predict`
 
 _PGW_MAGIC = b"PGW1"
 
@@ -76,6 +83,8 @@ class RNNSpec:
             object.__setattr__(self, "output_times", (self.T,))
         if any(t < 1 or t > self.T for t in self.output_times):
             raise InvalidArchitecture("output_times must lie in [1, T]")
+        if any(a >= b for a, b in zip(self.output_times, self.output_times[1:])):
+            raise InvalidArchitecture("output_times must be strictly increasing")
 
     def param_layout(self):
         """Slices of the flat parameter vector: per layer (w_in, w_rec), then w_out."""
@@ -260,20 +269,38 @@ class NetworkGraph:
 
 @dataclass
 class ForwardTrace:
-    """Per-node pre-activations and outputs for a batch, plus provenance."""
+    """What a forward pass on a batch computed, plus provenance.
 
-    z: np.ndarray  # (V, B)
-    h: np.ndarray  # (V, B)
+    `native` is what the net's backend keeps for `backward`: the (V, B)
+    pre-activations and outputs (z, h) of a layered or DAG net, the RNN
+    recursion's own (seqs, zs, hs, outs) of an RNN net.  `outputs()` reads
+    it directly.  `z` and `h` are the per-node (V, B) arrays; an RNN trace
+    scatters them from `native` on first read.  When only the outputs are
+    needed, call `predict` instead of `forward`: it keeps no trace.
+    """
+
     net: NetworkGraph
     theta: np.ndarray
+    batch_size: int
+    native: tuple
+
+    @cached_property
+    def _node_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.net.backend.node_arrays(self.native)
 
     @property
-    def batch_size(self) -> int:
-        return self.z.shape[1]
+    def z(self) -> np.ndarray:
+        """(V, B) pre-activations."""
+        return self._node_arrays[0]
+
+    @property
+    def h(self) -> np.ndarray:
+        """(V, B) node outputs; sources hold the inputs and bias ones."""
+        return self._node_arrays[1]
 
     def outputs(self) -> np.ndarray:
         """(B, n_out) network outputs."""
-        return self.h[self.net.output_nodes].T
+        return self.net.backend.outputs(self.native)
 
 
 @dataclass
@@ -434,11 +461,8 @@ def _check_finite(name, arr):
         raise NumericInputError(f"non-finite values in {name}")
 
 
-def forward(net: NetworkGraph, theta: np.ndarray, X: np.ndarray) -> ForwardTrace:
-    """Run the network on a batch X of shape (B, n_inputs).
-
-    Returns the full per-node trace; `trace.outputs()` is f(x) per example.
-    """
+def _checked_inputs(net: NetworkGraph, theta: np.ndarray, X: np.ndarray):
+    """theta and X as contiguous float64, X as (B, n_inputs); raises on bad shapes or values."""
     theta = np.ascontiguousarray(theta, dtype=np.float64)
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -450,13 +474,33 @@ def forward(net: NetworkGraph, theta: np.ndarray, X: np.ndarray) -> ForwardTrace
         raise ContractViolation(f"input dim {X.shape[1]}, expected {n_in}")
     _check_finite("theta", theta)
     _check_finite("X", X)
+    return theta, X
 
-    z = np.zeros((net.n_nodes, X.shape[0]))
-    h = np.zeros_like(z)
-    h[net.node_kind == NODE_BIAS] = 1.0
-    h[net.input_nodes] = X.T
-    net.backend.forward(theta, X, z, h)
-    return ForwardTrace(z=z, h=h, net=net, theta=theta.copy())
+
+def forward(net: NetworkGraph, theta: np.ndarray, X: np.ndarray) -> ForwardTrace:
+    """Run the network on a batch X of shape (B, n_inputs) and keep what `backward` needs.
+
+    `trace.outputs()` is f(x) per example.  A caller that reads only the
+    outputs should call `predict`, which keeps no trace.
+    """
+    theta, X = _checked_inputs(net, theta, X)
+    return ForwardTrace(net=net, theta=theta.copy(), batch_size=X.shape[0], native=net.backend.forward(theta, X))
+
+
+def predict(net: NetworkGraph, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(B, n_out) network outputs f(x): the outputs-only path.
+
+    Call this instead of `forward` when only the outputs are read.  It runs
+    PREDICT_CHUNK rows at a time and keeps no trace, so its memory is
+    bounded by the chunk, not by B.  Validation is that of `forward`, and the
+    result equals `forward(net, theta, X).outputs()`.
+    """
+    theta, X = _checked_inputs(net, theta, X)
+    # output-major like a (V, B) trace's output rows, so reductions over the result sum in the same order
+    out = np.empty((len(net.output_nodes), X.shape[0]))
+    for i in range(0, X.shape[0], PREDICT_CHUNK):
+        out[:, i : i + PREDICT_CHUNK] = net.backend.predict(theta, X[i : i + PREDICT_CHUNK]).T
+    return out.T
 
 
 def layer_views(net: NetworkGraph, values: np.ndarray) -> list[np.ndarray]:
@@ -697,26 +741,48 @@ def path_sum_outputs(net: NetworkGraph, theta: np.ndarray, trace: ForwardTrace, 
 # -- backends: one per net kind, chosen in NetworkGraph.__post_init__ --------------
 
 
+def _source_arrays(net: NetworkGraph, X: np.ndarray):
+    """(V, B) zero pre-activations z and outputs h, with the inputs and bias ones set in h."""
+    z = np.zeros((net.n_nodes, X.shape[0]))
+    h = np.zeros_like(z)
+    h[net.node_kind == NODE_BIAS] = 1.0
+    h[net.input_nodes] = X.T
+    return z, h
+
+
 class DagBackend:
     """Generic DAG: walks in topological order, the reference semantics.
 
-    A backend serves one net: `forward` fills the (V, B) trace arrays and
-    `init` draws balanced initial parameters; the other methods serve the
-    public functions of the same name.
+    A backend serves one net.  `forward` returns the trace's `native` part,
+    which `outputs`, `node_arrays` (the (V, B) z and h) and `backward` read;
+    `predict` returns the outputs of one chunk; `init` draws balanced
+    initial parameters; the path sums serve the public functions of the same
+    name.
     """
 
     def __init__(self, net: NetworkGraph):
         self.net = net
 
-    def forward(self, theta, X, z, h):
-        """Fill pre-activations z and outputs h; h already holds inputs and bias ones."""
+    def forward(self, theta, X):
+        """The (V, B) pre-activations z and outputs h."""
         net = self.net
+        z, h = _source_arrays(net, X)
         w = theta[net.edges[:, 2]]
         for v in net.topo:
             if net.in_edges[v]:  # sources have none; an output without any stays 0
                 eids, srcs, _ = net.in_edges[v]
                 z[v] = w[eids] @ h[srcs]
                 h[v] = z[v] if net.node_kind[v] == NODE_OUTPUT else np.maximum(z[v], 0.0)
+        return z, h
+
+    def node_arrays(self, native):
+        return native
+
+    def outputs(self, native):
+        return native[1][self.net.output_nodes].T
+
+    def predict(self, theta, X):
+        return self.outputs(self.forward(theta, X))
 
     def backward(self, theta, trace, dL):
         net = self.net
@@ -768,8 +834,9 @@ class DagBackend:
 class LayeredBackend(DagBackend):
     """Fully connected layered nets: one matrix product per layer."""
 
-    def forward(self, theta, X, z, h):
+    def forward(self, theta, X):
         net = self.net
+        z, h = _source_arrays(net, X)
         layers = net.layer_nodes()
         d = len(net.dims) - 1
         for k, W in enumerate(layer_views(net, theta), start=1):
@@ -777,6 +844,18 @@ class LayeredBackend(DagBackend):
             zk = W @ h[layers[k - 1]]
             z[tgt] = zk
             h[tgt] = zk if k == d else np.maximum(zk, 0.0)
+        return z, h
+
+    def predict(self, theta, X):
+        """The same per-layer chain on (n_k, B) activations, without (V, B) arrays."""
+        mats = layer_views(self.net, theta)
+        h = X.T
+        for k, W in enumerate(mats, start=1):
+            if self.net.has_bias:
+                h = np.vstack([h, np.ones((1, h.shape[1]))])
+            z = W @ h
+            h = z if k == len(mats) else np.maximum(z, 0.0)
+        return h.T
 
     def backward(self, theta, trace, dL):
         net = self.net
@@ -816,11 +895,6 @@ class LayeredBackend(DagBackend):
         return theta
 
 
-def _batch_major(a: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Rows ids (T, n) of a (V, B) trace array as (B, T, n), laid out (T, B, n) like `rnn_forward`'s."""
-    return np.ascontiguousarray(np.moveaxis(a[ids], -1, 1)).transpose(1, 0, 2)
-
-
 class RNNBackend(DagBackend):
     """Time-unrolled RNNs: the RNN's own matrix recursions over the shared weights."""
 
@@ -829,19 +903,27 @@ class RNNBackend(DagBackend):
         self.spec = net.rnn
         self.layer_ids, self.output_ids = rnn_node_ids(net.rnn)
 
-    def forward(self, theta, X, z, h):
+    def forward(self, theta, X):
+        """The recursion's own (seqs, zs, hs, outs), laid out as `rnn_forward` returns them."""
         seqs = X.reshape(X.shape[0], self.spec.T, self.spec.n_in)
-        zs, hs, outs = rnn_forward(self.spec, theta, seqs)
+        return (seqs, *rnn_forward(self.spec, theta, seqs))
+
+    def node_arrays(self, native):
+        seqs, zs, hs, outs = native
+        z, h = _source_arrays(self.net, seqs.reshape(seqs.shape[0], -1))
         for ids, z_i, h_i in zip(self.layer_ids[1:], zs, hs):
             z[ids] = np.moveaxis(z_i, 0, -1)
             h[ids] = np.moveaxis(h_i, 0, -1)
         z[self.output_ids] = h[self.output_ids] = np.moveaxis(outs, 0, -1)
+        return z, h
+
+    def outputs(self, native):
+        outs = native[3]  # output node order is time order, as output_times is increasing
+        return outs.reshape(outs.shape[0], -1)
 
     def backward(self, theta, trace, dL):
         spec = self.spec
-        seqs = _batch_major(trace.h, self.layer_ids[0])
-        zs = [_batch_major(trace.z, ids) for ids in self.layer_ids[1:]]
-        hs = [_batch_major(trace.h, ids) for ids in self.layer_ids[1:]]
+        seqs, zs, hs, _ = trace.native
         return rnn_backward(spec, theta, seqs, zs, hs, dL.reshape(-1, len(spec.output_times), spec.n_out))
 
     def path_sum(self, values, offset=None):

@@ -9,7 +9,7 @@ preconditioned step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,11 +73,25 @@ class UpdateReport:
 
 @dataclass
 class OptimizerState:
-    """Single-owner mutable state threaded through the step functions."""
+    """Single-owner mutable state threaded through the step functions.
+
+    Keeps the last step's report and the kappa range seen since the last
+    `start_epoch`, so its size does not grow with the number of steps.
+    """
 
     velocity: np.ndarray | None = None
     step: int = 0
-    reports: list = field(default_factory=list)
+    last: UpdateReport | None = None
+    kappa_min: float | None = None
+    kappa_max: float | None = None
+
+    def start_epoch(self):
+        self.kappa_min = self.kappa_max = None
+
+    def record(self, report: UpdateReport):
+        self.last = report
+        self.kappa_min = report.kappa_min if self.kappa_min is None else min(self.kappa_min, report.kappa_min)
+        self.kappa_max = report.kappa_max if self.kappa_max is None else max(self.kappa_max, report.kappa_max)
 
 
 # -- losses --------------------------------------------------------------------
@@ -215,7 +229,7 @@ def sgd_step(net, theta, X, labels, cfg: OptimizerConfig, state: OptimizerState 
     loss, grad, _ = batch_loss_grad(net, theta, X, labels, cfg)
     new = _apply(theta, grad, cfg, state)
     state.step += 1
-    state.reports.append(UpdateReport(state.step, loss, float(np.linalg.norm(grad)), 1.0, 1.0))
+    state.record(UpdateReport(state.step, loss, float(np.linalg.norm(grad)), 1.0, 1.0))
     return new
 
 
@@ -226,7 +240,7 @@ def path_sgd_step(net, theta, X, labels, cfg: OptimizerConfig, state: OptimizerS
     kap = floored(path_kappa(net, theta, cfg.use_kappa2), cfg.kappa_floor)
     new = _apply(theta, grad / kap, cfg, state)
     state.step += 1
-    state.reports.append(UpdateReport(state.step, loss, float(np.linalg.norm(grad)), float(kap.min()), float(kap.max())))
+    state.record(UpdateReport(state.step, loss, float(np.linalg.norm(grad)), float(kap.min()), float(kap.max())))
     return new
 
 
@@ -239,7 +253,7 @@ def ddp_sgd_step(net, theta, X, labels, cfg: OptimizerConfig, state: OptimizerSt
     kap = floored(ddp_kappa(net, theta, X, cfg.alpha, cfg.stat), cfg.kappa_floor)
     new = _apply(theta, grad / kap, cfg, state)
     state.step += 1
-    state.reports.append(UpdateReport(state.step, loss, float(np.linalg.norm(grad)), float(kap.min()), float(kap.max())))
+    state.record(UpdateReport(state.step, loss, float(np.linalg.norm(grad)), float(kap.min()), float(kap.max())))
     return new
 
 
@@ -250,7 +264,7 @@ def diag_ng_step(net, theta, X, labels, cfg: OptimizerConfig, state: OptimizerSt
     fdiag = floored(fisher_diag_analytic(net, theta, X), cfg.kappa_floor)
     new = _apply(theta, grad / fdiag, cfg, state)
     state.step += 1
-    state.reports.append(UpdateReport(state.step, loss, float(np.linalg.norm(grad)), float(fdiag.min()), float(fdiag.max())))
+    state.record(UpdateReport(state.step, loss, float(np.linalg.norm(grad)), float(fdiag.min()), float(fdiag.max())))
     return new
 
 
@@ -415,7 +429,7 @@ def ddp_norm_step(net, w_tilde, X, labels, cfg: OptimizerConfig, state: Optimize
     loss, grad, _, _, _ = ddp_norm_forward_backward(net, w_tilde, X, labels, cfg.alpha, cfg.stat, cfg.loss, cfg.margin_gamma)
     new = _apply(w_tilde, grad, cfg, state)
     state.step += 1
-    state.reports.append(UpdateReport(state.step, loss, float(np.linalg.norm(grad)), 1.0, 1.0))
+    state.record(UpdateReport(state.step, loss, float(np.linalg.norm(grad)), 1.0, 1.0))
     return new
 
 

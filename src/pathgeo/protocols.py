@@ -12,7 +12,7 @@ from .data import Dataset, downsample, gen_addition, mnist_or_synthetic, randomi
 from .invariance import layer_matrices, random_unbalance
 from .measures import margin as margin_fn
 from .measures import norm_measures
-from .netgraph import NetworkGraph, RNNSpec, build_layered, build_rnn_unrolled, forward
+from .netgraph import NetworkGraph, RNNSpec, build_layered, build_rnn_unrolled, predict
 from .optim import OptimizerConfig
 from .train import TrainConfig, evaluate, init_params, substream, train
 
@@ -117,7 +117,7 @@ def hidden_sweep(h_list, seeds, m_train: int = 2000, m_test: int = 1000, epochs:
 
 
 def measure_complexity(net: NetworkGraph, theta: np.ndarray, dataset: Dataset, eps: float = 0.05):
-    scores = forward(net, theta, dataset.flat_inputs()).outputs()
+    scores = predict(net, theta, dataset.flat_inputs())
     gamma = margin_fn(scores, dataset.labels, eps=eps)
     if gamma <= 0:
         return {"margin": gamma, "l2": np.nan, "l1_path": np.nan, "l2_path": np.nan, "spectral": np.nan}

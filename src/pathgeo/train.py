@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, minibatches
-from .netgraph import NetworkGraph, forward
+from .netgraph import NetworkGraph, predict
 from .optim import OptimizerConfig, OptimizerState, loss_and_grad, optimizer_step
 from .pathnorm import path_reg_dp
 
@@ -48,7 +48,7 @@ def init_params(net: NetworkGraph, seed: int) -> np.ndarray:
 def evaluate(net: NetworkGraph, theta: np.ndarray, dataset: Dataset, loss_kind: str, margin_gamma: float = 0.0):
     """(mean loss, error) on a dataset; error is MSE for regression tasks."""
     X = dataset.flat_inputs()
-    outs = forward(net, theta, X).outputs()
+    outs = predict(net, theta, X)
     if dataset.task == "regression":
         targets = dataset.labels.reshape(len(dataset), -1)
         loss, _ = loss_and_grad("squared", outs, targets)
@@ -93,7 +93,7 @@ def train(net: NetworkGraph, train_set: Dataset, cfg: TrainConfig, test_set: Dat
             lr=cfg.optimizer.lr * (cfg.lr_decay**epoch),
             momentum=(min(cfg.momentum_max, cfg.momentum_start + cfg.momentum_step * epoch) if cfg.momentum_start is not None else cfg.optimizer.momentum),
         )
-        n_before = len(state.reports)
+        state.start_epoch()
         diverged = False
         for idx in minibatches(train_set, cfg.batch_size, cfg.seed, epoch):
             theta = optimizer_step(net, theta, X_all[idx], targets[idx], opt, state)
@@ -108,7 +108,6 @@ def train(net: NetworkGraph, train_set: Dataset, cfg: TrainConfig, test_set: Dat
                 "diverged": True,
             })
             break
-        epoch_reports = state.reports[n_before:]
         train_loss, train_err = evaluate(net, theta, train_set, opt.loss, opt.margin_gamma)
         test_loss, test_err = (np.nan, np.nan)
         if test_set is not None:
@@ -119,8 +118,8 @@ def train(net: NetworkGraph, train_set: Dataset, cfg: TrainConfig, test_set: Dat
             "train_loss": train_loss,
             "train_err": train_err,
             "test_err": test_err,
-            "kappa_min": min((r.kappa_min for r in epoch_reports), default=np.nan),
-            "kappa_max": max((r.kappa_max for r in epoch_reports), default=np.nan),
+            "kappa_min": np.nan if state.kappa_min is None else state.kappa_min,
+            "kappa_max": np.nan if state.kappa_max is None else state.kappa_max,
             "gamma2_net": path_reg_dp(net, theta)[1] if cfg.log_gamma else np.nan,
         }
         history.append(row)

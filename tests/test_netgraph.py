@@ -26,6 +26,7 @@ from pathgeo.netgraph import (
     net_from_json,
     net_to_json,
     path_sum_outputs,
+    predict,
     rnn_forward,
     save_params,
 )
@@ -131,6 +132,41 @@ class TestForward:
         trace = forward(net, theta, X)
         recon = path_sum_outputs(net, theta, trace, enumerate_paths(net))
         np.testing.assert_allclose(recon, trace.outputs(), rtol=1e-10, atol=1e-12)
+
+
+def predict_cases(rng):
+    """(name, net, theta) on every backend: layered with and without bias, a random DAG, an RNN."""
+    spec = RNNSpec(n_in=2, hidden=(3, 2), n_out=2, T=4, output_times=(2, 4))
+    nets = {
+        "layered": build_layered([3, 4, 3, 2]),
+        "layered_bias": build_layered([3, 4, 3, 2], bias=True),
+        "dag": build_random_dag(rng),
+        "rnn": build_rnn_unrolled(spec),
+    }
+    return [(name, net, random_theta(net, rng)) for name, net in nets.items()]
+
+
+class TestPredict:
+    @pytest.mark.parametrize("batch", [1, netgraph.PREDICT_CHUNK, 2 * netgraph.PREDICT_CHUNK + 7])
+    def test_equals_forward_outputs(self, rng, batch):
+        for name, net, theta in predict_cases(rng):
+            X = rng.normal(size=(batch, len(net.input_nodes)))
+            assert np.array_equal(predict(net, theta, X), forward(net, theta, X).outputs()), name
+
+    def test_same_errors_as_forward(self, rng):
+        for name, net, theta in predict_cases(rng):
+            X = rng.normal(size=(3, len(net.input_nodes)))
+            bad_x = np.where(np.arange(X.size).reshape(X.shape) == 4, np.nan, X)
+            cases = [
+                (ContractViolation, theta[:-1], X),
+                (ContractViolation, theta, X[:, :-1]),
+                (NumericInputError, np.where(np.arange(theta.size) == 0, np.inf, theta), X),
+                (NumericInputError, theta, bad_x),
+            ]
+            for error, t, x in cases:
+                for fn in (forward, predict):
+                    with pytest.raises(error):
+                        fn(net, t, x)
 
 
 class TestBackward:
@@ -258,14 +294,34 @@ class TestRNN:
         with pytest.raises(InvalidArchitecture):
             RNNSpec(n_in=1, hidden=(1,), n_out=1, T=0)
 
+    @pytest.mark.parametrize("times", [(4, 2), (2, 2), (1, 3, 2)])
+    def test_output_times_must_increase(self, times):
+        # outputs are numbered in time order, so an unsorted list would misalign dL with the outputs
+        with pytest.raises(InvalidArchitecture):
+            RNNSpec(n_in=2, hidden=(3,), n_out=1, T=4, output_times=times)
+
     def test_backward_reuses_the_forward_trace(self, rng, monkeypatch):
+        # z and h are built on first read from the recursion's arrays, placed by node id, without re-running it
         spec = RNNSpec(n_in=2, hidden=(3, 2), n_out=2, T=4, output_times=(2, 4))
         net = build_rnn_unrolled(spec)
+        theta = random_theta(net, rng)
+        seqs = rng.normal(size=(5, spec.T, spec.n_in))
+        zs, hs, outs = rnn_forward(spec, theta, seqs)
+        layers, out_ids = netgraph.rnn_node_ids(spec)
+        z, h = np.zeros((net.n_nodes, 5)), np.zeros((net.n_nodes, 5))
+        for b, t in np.ndindex(5, spec.T):
+            h[layers[0][t], b] = seqs[b, t]
+            for i in range(len(spec.hidden)):
+                z[layers[i + 1][t], b] = zs[i][b, t]
+                h[layers[i + 1][t], b] = hs[i][b, t]
+        for b, j in np.ndindex(5, len(spec.output_times)):
+            z[out_ids[j], b] = h[out_ids[j], b] = outs[b, j]
+
         calls = []
         recursion = netgraph.rnn_forward
         monkeypatch.setattr(netgraph, "rnn_forward", lambda *args: calls.append(1) or recursion(*args))
-        theta = random_theta(net, rng)
-        trace = forward(net, theta, rng.normal(size=(5, len(net.input_nodes))))
+        trace = forward(net, theta, seqs.reshape(5, -1))
+        assert np.array_equal(trace.z, z) and np.array_equal(trace.h, h) and trace.z is trace.z
         backward(net, theta, trace, rng.normal(size=(5, len(net.output_nodes))))
         assert len(calls) == 1
 

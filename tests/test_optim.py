@@ -1,3 +1,6 @@
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
@@ -122,6 +125,32 @@ class TestSgd:
         assert not np.allclose(t2 - t1, t1 - theta)  # velocity carried over
 
 
+def footprint(obj) -> int:
+    """Bytes held by obj and, recursively, by the lists, tuples, dataclasses and arrays in it."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if dataclasses.is_dataclass(obj):
+        return sys.getsizeof(obj) + sum(footprint(v) for v in vars(obj).values())
+    if isinstance(obj, (list, tuple)):
+        return sys.getsizeof(obj) + sum(footprint(v) for v in obj)
+    return sys.getsizeof(obj)
+
+
+def test_step_state_does_not_grow_with_steps(rng):
+    net = build_layered([3, 4, 2])
+    cfg = OptimizerConfig(method="path_sgd", lr=0.01, momentum=0.5, loss="squared")
+    theta = random_theta(net, rng)
+    X, y = rng.normal(size=(8, 3)), rng.normal(size=(8, 2))
+    state = OptimizerState()
+    sizes = {}
+    for step in range(1, 1001):
+        theta = path_sgd_step(net, theta, X, y, cfg, state)
+        if step in (10, 1000):
+            sizes[step] = footprint(state)
+    assert sizes[1000] == sizes[10]
+    assert state.last.step == 1000 and state.kappa_min <= state.kappa_max
+
+
 class TestPathSgd:
     def test_chain_kappa_preconditioning(self):
         # chain (a, b) = (2, 1): kappa = (b^2, a^2) = (1, 4)
@@ -173,7 +202,7 @@ class TestPathSgd:
             for _ in range(10):
                 state = OptimizerState()
                 t = path_sgd_step(net, t, X, y, cfg, state)
-                losses.append(state.reports[-1].loss)
+                losses.append(state.last.loss)
             if use_k2:
                 with_k2 = losses
             else:

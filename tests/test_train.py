@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pathgeo.data import gen_cluster_images
+from pathgeo.data import gen_addition, gen_cluster_images
 from pathgeo.netgraph import build_layered
 from pathgeo.optim import OptimizerConfig
+from pathgeo.protocols import addition_init, addition_net
 from pathgeo.train import Checkpoint, TrainConfig, evaluate, init_params, substream, train
 
 
@@ -72,3 +75,18 @@ class TestTrainLoop:
         theta = init_params(net, 0)
         loss, err = evaluate(net, theta, ds, "truncated_cross_entropy")
         assert 0.0 <= err <= 1.0 and loss >= 0.0
+
+
+def test_evaluate_memory_is_bounded_by_the_chunk():
+    # AC-13 net and training-set size: the full (V, B) trace alone would be 2 x 1701 x 20000 x 8 bytes (544 MB)
+    net = addition_net(50, 32)
+    theta = addition_init(net.rnn, 0)
+    dataset = gen_addition(50, 20000, 0)
+    tracemalloc.start()
+    try:
+        loss, err = evaluate(net, theta, dataset, "squared")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(loss) and np.isfinite(err)
+    assert peak < 64 * 2**20
