@@ -50,7 +50,7 @@ NODE_BIAS = 3
 
 DEFAULT_PATH_CAP = 10**6
 
-PREDICT_CHUNK = 1000  # rows per backend call in `predict`
+PREDICT_CHUNK = 1000  # rows per backend forward in `predict`
 
 _PGW_MAGIC = b"PGW1"
 
@@ -496,10 +496,11 @@ def predict(net: NetworkGraph, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     result equals `forward(net, theta, X).outputs()`.
     """
     theta, X = _checked_inputs(net, theta, X)
+    backend = net.backend
     # output-major like a (V, B) trace's output rows, so reductions over the result sum in the same order
     out = np.empty((len(net.output_nodes), X.shape[0]))
     for i in range(0, X.shape[0], PREDICT_CHUNK):
-        out[:, i : i + PREDICT_CHUNK] = net.backend.predict(theta, X[i : i + PREDICT_CHUNK]).T
+        out[:, i : i + PREDICT_CHUNK] = backend.outputs(backend.forward(theta, X[i : i + PREDICT_CHUNK])).T
     return out.T
 
 
@@ -754,10 +755,9 @@ class DagBackend:
     """Generic DAG: walks in topological order, the reference semantics.
 
     A backend serves one net.  `forward` returns the trace's `native` part,
-    which `outputs`, `node_arrays` (the (V, B) z and h) and `backward` read;
-    `predict` returns the outputs of one chunk; `init` draws balanced
-    initial parameters; the path sums serve the public functions of the same
-    name.
+    which `outputs` (the (B, n_out) outputs, output-major), `node_arrays`
+    (the (V, B) z and h) and `backward` read; `init` draws balanced initial
+    parameters; the path sums serve the public functions of the same name.
     """
 
     def __init__(self, net: NetworkGraph):
@@ -780,9 +780,6 @@ class DagBackend:
 
     def outputs(self, native):
         return native[1][self.net.output_nodes].T
-
-    def predict(self, theta, X):
-        return self.outputs(self.forward(theta, X))
 
     def backward(self, theta, trace, dL):
         net = self.net
@@ -846,17 +843,6 @@ class LayeredBackend(DagBackend):
             h[tgt] = zk if k == d else np.maximum(zk, 0.0)
         return z, h
 
-    def predict(self, theta, X):
-        """The same per-layer chain on (n_k, B) activations, without (V, B) arrays."""
-        mats = layer_views(self.net, theta)
-        h = X.T
-        for k, W in enumerate(mats, start=1):
-            if self.net.has_bias:
-                h = np.vstack([h, np.ones((1, h.shape[1]))])
-            z = W @ h
-            h = z if k == len(mats) else np.maximum(z, 0.0)
-        return h.T
-
     def backward(self, theta, trace, dL):
         net = self.net
         layers = net.layer_nodes()
@@ -919,7 +905,8 @@ class RNNBackend(DagBackend):
 
     def outputs(self, native):
         outs = native[3]  # output node order is time order, as output_times is increasing
-        return outs.reshape(outs.shape[0], -1)
+        # output-major like the (V, B) rows a DAG trace reads its outputs from, so losses sum in the same order
+        return np.asfortranarray(outs.reshape(outs.shape[0], -1))
 
     def backward(self, theta, trace, dL):
         spec = self.spec

@@ -153,6 +153,13 @@ class TestPredict:
             X = rng.normal(size=(batch, len(net.input_nodes)))
             assert np.array_equal(predict(net, theta, X), forward(net, theta, X).outputs()), name
 
+    def test_outputs_are_output_major(self, rng):
+        # losses reduce over the outputs; one layout on every backend keeps their summation order
+        for name, net, theta in predict_cases(rng):
+            X = rng.normal(size=(5, len(net.input_nodes)))
+            for out in (predict(net, theta, X), forward(net, theta, X).outputs()):
+                assert out.flags.f_contiguous and not out.flags.c_contiguous, name
+
     def test_same_errors_as_forward(self, rng):
         for name, net, theta in predict_cases(rng):
             X = rng.normal(size=(3, len(net.input_nodes)))
