@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import InfeasibleRescaling, InvalidArchitecture, MarginDegenerate
 from .netgraph import (
+    DEFAULT_PATH_CAP,
     NODE_INTERNAL,
     NetworkGraph,
     RNNSpec,
@@ -216,9 +217,9 @@ def balance_weights(net: NetworkGraph, theta: np.ndarray, p: float, q: float) ->
 # -- path Jacobian and degrees of freedom --------------------------------------
 
 
-def path_jacobian(net: NetworkGraph, theta: np.ndarray, cap: int | None = None) -> PathJacobian:
+def path_jacobian(net: NetworkGraph, theta: np.ndarray, cap: int = DEFAULT_PATH_CAP) -> PathJacobian:
     """J[p, e] = d pi_p / d w_e built from per-path exclusion products."""
-    paths = enumerate_paths(net) if cap is None else enumerate_paths(net, cap)
+    paths = enumerate_paths(net, cap)
     w = theta[net.edges[:, 2]]
     P, E = len(paths), net.n_edges
     jac = np.zeros((P, E))
@@ -231,7 +232,7 @@ def path_jacobian(net: NetworkGraph, theta: np.ndarray, cap: int | None = None) 
     return PathJacobian(jac=jac, incidence=inc)
 
 
-def degrees_of_freedom(net: NetworkGraph, theta: np.ndarray, sv_threshold: float = 1e-10, cap: int | None = None) -> int:
+def degrees_of_freedom(net: NetworkGraph, theta: np.ndarray, sv_threshold: float = 1e-10, cap: int = DEFAULT_PATH_CAP) -> int:
     """Numerical rank of the path Jacobian; generically |E| - |V_internal|."""
     J = path_jacobian(net, theta, cap=cap).jac
     if J.size == 0:

@@ -12,7 +12,8 @@ reads it once and attaches one backend per net kind: `LayeredBackend`
 recursion) or `DagBackend` (topological walks, the reference semantics the
 other two are checked against and the one the oracles exercise).  That is
 the only place an implementation is chosen by net kind: `forward`,
-`predict`, `backward`, `path_sum`, `path_sum_backward` and the
+`predict`, `backward`, `per_example_sq_grad` (the same reverse pass,
+squared per example), `path_sum`, `path_sum_backward` and the
 initialization in `train.init_params` all delegate to `net.backend`.
 
 `forward` keeps what `backward` needs in a `ForwardTrace`, in the backend's
@@ -41,6 +42,7 @@ from .errors import (
     InvalidArchitecture,
     NumericInputError,
     TooManyPaths,
+    UnsupportedCombination,
 )
 
 NODE_INPUT = 0
@@ -464,9 +466,7 @@ def _check_finite(name, arr):
 def _checked_inputs(net: NetworkGraph, theta: np.ndarray, X: np.ndarray):
     """theta and X as contiguous float64, X as (B, n_inputs); raises on bad shapes or values."""
     theta = np.ascontiguousarray(theta, dtype=np.float64)
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
+    X = np.atleast_2d(np.ascontiguousarray(X, dtype=np.float64))
     if theta.shape != (net.n_param,):
         raise ContractViolation(f"theta shape {theta.shape}, expected ({net.n_param},)")
     n_in = len(net.input_nodes)
@@ -569,22 +569,42 @@ def rnn_backward(spec: RNNSpec, theta: np.ndarray, seqs: np.ndarray, zs, hs, dL_
     return spec.pack(g_in, g_rec, g_out)
 
 
+def _checked_cotangent(net: NetworkGraph, theta: np.ndarray, trace: ForwardTrace, dL_doutputs: np.ndarray):
+    """(theta, trace, dL) with theta and dL as float64, dL as (B, n_out); raises on a foreign trace or bad shapes."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if trace.net is not net or not np.array_equal(trace.theta, theta):
+        raise ContractViolation("trace was produced under different (net, theta)")
+    dL = np.atleast_2d(np.ascontiguousarray(dL_doutputs, dtype=np.float64))
+    n_out = len(net.output_nodes)
+    if dL.shape != (trace.batch_size, n_out):
+        raise ContractViolation(f"dL_doutputs shape {dL.shape}, expected ({trace.batch_size}, {n_out})")
+    return theta, trace, dL
+
+
 def backward(net: NetworkGraph, theta: np.ndarray, trace: ForwardTrace, dL_doutputs: np.ndarray) -> np.ndarray:
     """Reverse-mode gradient of a scalar loss w.r.t. theta.
 
     dL_doutputs has shape (B, n_out) and already carries any batch-mean
     factor from the loss.  Shared parameters accumulate over their edges.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    if trace.net is not net or not np.array_equal(trace.theta, theta):
-        raise ContractViolation("trace was produced under different (net, theta)")
-    dL = np.ascontiguousarray(dL_doutputs, dtype=np.float64)
-    if dL.ndim == 1:
-        dL = dL[None, :]
-    n_out = len(net.output_nodes)
-    if dL.shape != (trace.batch_size, n_out):
-        raise ContractViolation(f"dL_doutputs shape {dL.shape}, expected ({trace.batch_size}, {n_out})")
-    return net.backend.backward(theta, trace, dL)
+    return net.backend.backward(*_checked_cotangent(net, theta, trace, dL_doutputs))
+
+
+def check_no_sharing(net: NetworkGraph):
+    """Raise UnsupportedCombination unless every parameter sits on exactly one edge."""
+    if np.bincount(net.edges[:, 2]).max(initial=0) > 1:
+        raise UnsupportedCombination("per-edge quantities are undefined for shared weights")
+
+
+def per_example_sq_grad(net: NetworkGraph, theta: np.ndarray, trace: ForwardTrace, dL_doutputs: np.ndarray) -> np.ndarray:
+    """Sum over examples i of (d L_i / d theta)^2, row i of dL_doutputs being d L_i / d f(x_i).
+
+    `backward`'s reverse pass, accumulating h^2 @ dz^2 where it accumulates
+    h @ dz (Goodfellow 2015, arXiv:1510.01799).  That squares per edge, so
+    shared parameters raise UnsupportedCombination.
+    """
+    check_no_sharing(net)
+    return net.backend.backward(*_checked_cotangent(net, theta, trace, dL_doutputs), squares=True)
 
 
 # -- path machinery ----------------------------------------------------------
@@ -781,7 +801,8 @@ class DagBackend:
     def outputs(self, native):
         return native[1][self.net.output_nodes].T
 
-    def backward(self, theta, trace, dL):
+    def backward(self, theta, trace, dL, squares=False):
+        """The gradient; with `squares`, the sum over examples of its squared per-edge terms."""
         net = self.net
         w = theta[net.edges[:, 2]]
         d_h = np.zeros_like(trace.z)
@@ -791,7 +812,8 @@ class DagBackend:
             if net.in_edges[v]:
                 dz = d_h[v] if net.node_kind[v] == NODE_OUTPUT else d_h[v] * (trace.z[v] > 0)
                 eids, srcs, pids = net.in_edges[v]
-                np.add.at(grad, pids, trace.h[srcs] @ dz)
+                h = trace.h[srcs]
+                np.add.at(grad, pids, h**2 @ dz**2 if squares else h @ dz)
                 np.add.at(d_h, srcs, np.outer(w[eids], dz))
         return grad
 
@@ -843,7 +865,7 @@ class LayeredBackend(DagBackend):
             h[tgt] = zk if k == d else np.maximum(zk, 0.0)
         return z, h
 
-    def backward(self, theta, trace, dL):
+    def backward(self, theta, trace, dL, squares=False):
         net = self.net
         layers = net.layer_nodes()
         mats = layer_views(net, theta)
@@ -854,7 +876,8 @@ class LayeredBackend(DagBackend):
         for k in range(d, 0, -1):
             tgt = layers[k][: net.dims[k]]
             dz = d_h if k == d else d_h * (trace.z[tgt] > 0)
-            grads[k - 1][:] = dz @ trace.h[layers[k - 1]].T
+            h = trace.h[layers[k - 1]]
+            grads[k - 1][:] = dz**2 @ (h**2).T if squares else dz @ h.T
             if k > 1:
                 d_h = mats[k - 1][:, : net.dims[k - 1]].T @ dz
         return grad
@@ -908,7 +931,9 @@ class RNNBackend(DagBackend):
         # output-major like the (V, B) rows a DAG trace reads its outputs from, so losses sum in the same order
         return np.asfortranarray(outs.reshape(outs.shape[0], -1))
 
-    def backward(self, theta, trace, dL):
+    def backward(self, theta, trace, dL, squares=False):
+        if squares:  # BPTT sums over time copies; per-edge terms come from the DAG walk
+            return super().backward(theta, trace, dL, squares)
         spec = self.spec
         seqs, zs, hs, _ = trace.native
         return rnn_backward(spec, theta, seqs, zs, hs, dL.reshape(-1, len(spec.output_times), spec.n_out))

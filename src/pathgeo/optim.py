@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidLabel, UnsupportedCombination
+from .errors import DegenerateNormalization, InsufficientData, InvalidLabel, UnsupportedCombination
 from .netgraph import (
     NODE_BIAS,
     NODE_INTERNAL,
@@ -21,8 +21,10 @@ from .netgraph import (
     NetworkGraph,
     backward,
     forward,
+    per_example_sq_grad,
 )
 from .pathnorm import (
+    check_blend,
     ddp_kappa,
     fisher_diag_analytic,
     kappa1,
@@ -34,6 +36,7 @@ LOSS_KINDS = ("cross_entropy", "truncated_cross_entropy", "squared", "margin")
 
 TRUNC_KNOT = -11.0
 TRUNC_SCALE = np.exp(-11.0)
+FISHER_MC_CHUNK = 4096  # samples per forward in `fisher_diag_mc`
 
 
 @dataclass
@@ -287,50 +290,30 @@ def optimizer_step(net, theta, X, labels, cfg: OptimizerConfig, state: Optimizer
 # -- Monte-Carlo Fisher oracle ----------------------------------------------------
 
 
-def fisher_diag_mc(net: NetworkGraph, theta: np.ndarray, inputs: np.ndarray, n_samples: int, seed: int, chunk: int = 4096) -> np.ndarray:
+def fisher_diag_mc(net: NetworkGraph, theta: np.ndarray, inputs: np.ndarray, n_samples: int, seed: int) -> np.ndarray:
     """Unbiased Monte-Carlo estimate of the Fisher diagonal.
 
     Draw x uniformly from `inputs`, y ~ N(f(x), I); average the squared
     per-sample score gradient d log q(y|x) / d theta.  Deterministic given
-    the seed.
+    the seed.  Requires a one-to-one param map, like `per_example_sq_grad`.
     """
     if n_samples < 1:
         raise UnsupportedCombination("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim == 1:
-        inputs = inputs[None, :]
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     total = np.zeros(net.n_param)
     done = 0
     while done < n_samples:
-        b = min(chunk, n_samples - done)
+        b = min(FISHER_MC_CHUNK, n_samples - done)
         idx = rng.integers(0, len(inputs), size=b)
         X = inputs[idx]
         trace = forward(net, theta, X)
         f = trace.outputs()
         y = f + rng.standard_normal(f.shape)
         # d log q / d f = y - f; per-sample squared gradients
-        total += _per_example_sq_grad(net, theta, trace, y - f)
+        total += per_example_sq_grad(net, theta, trace, y - f)
         done += b
     return total / n_samples
-
-
-def _per_example_sq_grad(net, theta, trace, d_out):
-    """Sum over examples of the squared per-example parameter gradient."""
-    V, B = trace.z.shape
-    w = theta[net.edges[:, 2]]
-    d_h = np.zeros((V, B))
-    d_h[net.output_nodes] = d_out.T
-    acc = np.zeros(net.n_param)
-    kinds = net.node_kind
-    for v in trace.net.topo[::-1]:
-        if not trace.net.in_edges[v]:
-            continue
-        dz = d_h[v] if kinds[v] == NODE_OUTPUT else d_h[v] * (trace.z[v] > 0)
-        eids, srcs, pids = trace.net.in_edges[v]
-        np.add.at(acc, pids, ((trace.h[srcs] * dz) ** 2).sum(axis=1))
-        np.add.at(d_h, srcs, np.outer(w[eids], dz))
-    return acc
 
 
 # -- DDP normalization -------------------------------------------------------------
@@ -346,13 +329,8 @@ def ddp_norm_forward_backward(net: NetworkGraph, w_tilde: np.ndarray, X: np.ndar
     At every normalized node the gradient is exactly orthogonal to the
     node's incoming w_tilde; output nodes, being un-normalized, are not.
     """
-    from .errors import DegenerateNormalization, InsufficientData
-
-    if stat not in ("variance", "second_moment"):
-        raise UnsupportedCombination(f"unknown stat {stat!r}")
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
+    check_blend(alpha, stat)
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n = X.shape[0]
     if stat == "variance" and n < 2:
         raise InsufficientData("variance statistics need a batch of >= 2")

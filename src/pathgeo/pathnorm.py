@@ -13,7 +13,9 @@ sums, and only `kappa2_rnn` reads an RNN spec, as its data.
 
 The data-dependent variants blend the squared-weight recursion with batch
 statistics of the pre-activations and reduce to the data-independent case
-at alpha=0.
+at alpha=0.  At alpha=1 kappa is the diagonal of the Fisher matrix, which
+`fisher_diag_analytic` computes on the backend's own reverse pass: one
+`netgraph.per_example_sq_grad` per output.
 """
 
 from __future__ import annotations
@@ -24,15 +26,18 @@ import numpy as np
 
 from .errors import InsufficientData, UnsupportedCombination
 from .netgraph import (
+    DEFAULT_PATH_CAP,
     NODE_BIAS,
     NODE_INTERNAL,
     NODE_OUTPUT,
     NetworkGraph,
     RNNSpec,
+    check_no_sharing,
     enumerate_paths,
     forward,
     path_sum,
     path_sum_backward,
+    per_example_sq_grad,
     rnn_path_sums,
     rnn_path_sums_backward,
 )
@@ -68,11 +73,10 @@ def path_reg_dp(net: NetworkGraph, theta: np.ndarray) -> tuple[GammaState, float
     return GammaState(gamma2=g, gamma2_net=total), total
 
 
-def path_reg_bruteforce(net: NetworkGraph, theta: np.ndarray, cap: int | None = None) -> float:
+def path_reg_bruteforce(net: NetworkGraph, theta: np.ndarray, cap: int = DEFAULT_PATH_CAP) -> float:
     """Oracle: enumerate every path and sum the squared-weight products."""
-    paths = enumerate_paths(net) if cap is None else enumerate_paths(net, cap)
     w2 = theta[net.edges[:, 2]] ** 2
-    return float(sum(w2[p].prod() if len(p) else 1.0 for p in paths.paths))
+    return float(sum(w2[p].prod() if len(p) else 1.0 for p in enumerate_paths(net, cap).paths))
 
 
 def kappa1(net: NetworkGraph, theta: np.ndarray) -> np.ndarray:
@@ -122,7 +126,7 @@ def kappa2_rnn(spec: RNNSpec, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def kappa_bruteforce(net: NetworkGraph, theta: np.ndarray, cap: int | None = None) -> KappaVector:
+def kappa_bruteforce(net: NetworkGraph, theta: np.ndarray, cap: int = DEFAULT_PATH_CAP) -> KappaVector:
     """Oracle kappa over enumerated paths; exact for any weight sharing.
 
     kappa1 sums, per path and per edge on it, the product of squared
@@ -131,12 +135,11 @@ def kappa_bruteforce(net: NetworkGraph, theta: np.ndarray, cap: int | None = Non
     2 * theta_i^2 (the true second derivative, matching central
     differences of gamma2_net).
     """
-    paths = enumerate_paths(net) if cap is None else enumerate_paths(net, cap)
     pid_of_edge = net.edges[:, 2]
     w2 = theta**2
     k1 = np.zeros(net.n_param)
     k2 = np.zeros(net.n_param)
-    for p in paths.paths:
+    for p in enumerate_paths(net, cap).paths:
         pids = pid_of_edge[p]
         facs = w2[pids]
         for a in range(len(pids)):
@@ -153,15 +156,11 @@ def kappa_bruteforce(net: NetworkGraph, theta: np.ndarray, cap: int | None = Non
 
 
 def _batch_stat(z_rows: np.ndarray, stat: str) -> np.ndarray:
-    """Biased (1/n) variance or second moment along the batch axis."""
-    if stat == "second_moment":
-        return np.mean(z_rows**2, axis=-1)
-    if stat == "variance":
-        return np.var(z_rows, axis=-1)
-    raise UnsupportedCombination(f"unknown stat {stat!r}")
+    """Biased (1/n) variance or second moment along the batch axis; `check_blend` vets `stat`."""
+    return np.var(z_rows, axis=-1) if stat == "variance" else np.mean(z_rows**2, axis=-1)
 
 
-def _check_blend(alpha: float, stat: str):
+def check_blend(alpha: float, stat: str):
     if stat not in VALID_STATS:
         raise UnsupportedCombination(f"unknown stat {stat!r}")
     if not 0.0 <= alpha <= 1.0:
@@ -174,7 +173,7 @@ def ddp_gamma(net: NetworkGraph, theta: np.ndarray, batch: np.ndarray, alpha: fl
     Input nodes seed the data-independent recursion with 1.  S is the batch
     variance or second moment of the pre-activation at v.
     """
-    _check_blend(alpha, stat)
+    check_blend(alpha, stat)
     if alpha > 0 and (batch is None or len(batch) == 0):
         raise InsufficientData("data-dependent measure needs a non-empty batch")
     if alpha == 0.0:
@@ -183,12 +182,6 @@ def ddp_gamma(net: NetworkGraph, theta: np.ndarray, batch: np.ndarray, alpha: fl
     trace = forward(net, theta, batch)
     g = path_sum(net, (1.0 - alpha) * theta**2, alpha * _batch_stat(trace.z, stat))
     return GammaState(gamma2=g, gamma2_net=float(g[net.output_nodes].sum()))
-
-
-def _check_no_sharing(net: NetworkGraph):
-    pid = net.edges[:, 2]
-    if len(np.unique(pid)) != len(pid):
-        raise UnsupportedCombination("data-dependent kappa is undefined for shared weights")
 
 
 def ddp_kappa(net: NetworkGraph, theta: np.ndarray, batch: np.ndarray, alpha: float, stat: str = "second_moment") -> np.ndarray:
@@ -205,10 +198,10 @@ def ddp_kappa(net: NetworkGraph, theta: np.ndarray, batch: np.ndarray, alpha: fl
     coupling through the batch mean, matching the usual per-example
     treatment of normalization statistics.
     """
-    _check_blend(alpha, stat)
+    check_blend(alpha, stat)
     if alpha == 0.0:
         return kappa1(net, theta)
-    _check_no_sharing(net)
+    check_no_sharing(net)
     if batch is None or len(batch) == 0:
         raise InsufficientData("data-dependent kappa needs a non-empty batch")
 
@@ -268,27 +261,10 @@ def fisher_diag_analytic(net: NetworkGraph, theta: np.ndarray, X: np.ndarray) ->
     """Diagonal of the Fisher matrix under the Gaussian output model.
 
     F[e] = mean_x sum_{v' in outputs} (d f(x)[v'] / d w_e)^2, evaluated on
-    the empirical input distribution X.  Requires a one-to-one param map.
+    the empirical input distribution X: one forward, then per output one
+    reverse pass with that output's one-hot cotangent, squared per example
+    (`per_example_sq_grad`).  Requires a one-to-one param map.
     """
-    _check_no_sharing(net)
     trace = forward(net, theta, X)
-    B = trace.batch_size
-    V = net.n_nodes
-    w = theta[net.edges[:, 2]]
-    total = np.zeros(net.n_param)
-    for out_node in net.output_nodes:
-        # s[v] holds d z_out / d h_v while unprocessed, the gated
-        # d z_out / d z_v once node v has been visited.
-        s = np.zeros((V, B))
-        s[out_node] = 1.0
-        for v in net.topo[::-1]:
-            if not net.in_edges[v]:
-                continue
-            if net.node_kind[v] != NODE_OUTPUT:
-                s[v] = s[v] * (trace.z[v] > 0)
-            eids, srcs, _ = net.in_edges[v]
-            np.add.at(s, srcs, np.outer(w[eids], s[v]))
-        for e in range(net.n_edges):
-            u, v, pid = net.edges[e]
-            total[pid] += np.mean((trace.h[u] * s[v]) ** 2)
-    return total
+    B, n_out = trace.batch_size, len(net.output_nodes)
+    return sum(per_example_sq_grad(net, theta, trace, np.broadcast_to(e, (B, n_out))) for e in np.eye(n_out)) / B

@@ -297,6 +297,43 @@ class TestDiagNg:
         est = fisher_diag_mc(net, theta, X, n_samples=200000, seed=3)
         np.testing.assert_allclose(est, exact, rtol=0.03)
 
+    @pytest.mark.parametrize("kind", ["layered", "layered_bias", "dag0", "dag1", "dag2", "rnn_t1"])
+    def test_analytic_equals_squared_one_example_gradients(self, kind):
+        """Fisher = sum over outputs and examples of squared one-example `backward` gradients, over B."""
+        rng = np.random.default_rng(31)
+        if kind.startswith("dag"):
+            for _ in range(int(kind[3:]) + 1):
+                net = netgraph.build_random_dag(rng)
+        elif kind == "rnn_t1":  # one time step: no parameter is shared
+            net = build_rnn_unrolled(RNNSpec(n_in=2, hidden=(3,), n_out=2, T=1))
+        else:
+            net = build_layered([4, 5, 3], bias=kind == "layered_bias")
+        theta = random_theta(net, rng)
+        X = rng.normal(size=(7, len(net.input_nodes)))
+        n_out = len(net.output_nodes)
+        expected = np.zeros(net.n_param)
+        for x in X:
+            trace = forward(net, theta, x)
+            for o in range(n_out):
+                expected += netgraph.backward(net, theta, trace, np.eye(n_out)[o]) ** 2
+        np.testing.assert_allclose(fisher_diag_analytic(net, theta, X), expected / len(X), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("strip_spec", [False, True])
+    def test_fisher_rejects_shared_weights(self, strip_spec):
+        """Per-edge squares are not per-example squares of a shared parameter's gradient."""
+        net = build_rnn_unrolled(RNNSpec(n_in=1, hidden=(2,), n_out=1, T=3))
+        if strip_spec:  # the same DAG without its RNN spec takes the DAG backend
+            net = netgraph.NetworkGraph(node_kind=net.node_kind, edges=net.edges, n_param=net.n_param, allow_unused_params=True)
+        rng = np.random.default_rng(5)
+        theta = random_theta(net, rng)
+        X = rng.normal(size=(5, 3))
+        with pytest.raises(UnsupportedCombination):
+            fisher_diag_mc(net, theta, X, n_samples=100, seed=0)
+        with pytest.raises(UnsupportedCombination):
+            fisher_diag_analytic(net, theta, X)
+        with pytest.raises(UnsupportedCombination):
+            netgraph.per_example_sq_grad(net, theta, forward(net, theta, X), np.ones((5, 1)))
+
 
 class TestDdpNorm:
     def test_orthogonality_at_internal_nodes(self, rng):
@@ -364,6 +401,15 @@ class TestDdpNorm:
         w_t = np.array([0.0, 1.0])
         with pytest.raises(DegenerateNormalization):
             ddp_norm_forward_backward(net, w_t, np.array([[1.0], [2.0]]), np.array([[0.0], [0.0]]), alpha=1.0, stat="variance", loss="squared")
+
+    @pytest.mark.parametrize("alpha", [-0.2, 1.5])
+    def test_alpha_outside_unit_interval_raises(self, alpha):
+        """Like ddp_gamma and ddp_kappa; on these weights both alphas would otherwise return a loss."""
+        rng = np.random.default_rng(1)
+        net = build_layered([2, 3, 2])
+        w_t, X = random_theta(net, rng), 3.0 * rng.normal(size=(4, 2))
+        with pytest.raises(UnsupportedCombination):
+            ddp_norm_forward_backward(net, w_t, X, np.array([0, 1, 0, 1]), alpha=alpha)
 
     def test_variance_needs_two_examples(self):
         from pathgeo.errors import InsufficientData

@@ -266,8 +266,9 @@ def test_layered_path_sums_match_generic_walk(rng, bias):
         lambda n: ddp_gamma(n, theta, X, alpha=0.5).gamma2,
         lambda n: netgraph.path_sum_backward(n, theta**2),
     ]
-    if bias != "rnn":  # data-dependent kappa rejects shared weights
+    if bias != "rnn":  # data-dependent kappa and the Fisher reject shared weights
         checks.append(lambda n: ddp_kappa(n, theta, X, alpha=0.5))
+        checks.append(lambda n: fisher_diag_analytic(n, theta, X))
     for fn in checks:
         np.testing.assert_allclose(fn(net), fn(generic), rtol=1e-12, atol=0.0)
     for p in (1.0, 2.0):
