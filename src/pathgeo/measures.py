@@ -267,7 +267,9 @@ def perturbation_bound_check(layers: list[np.ndarray], perturbations: list[np.nd
 
     lhs = ||f_{w+u}(x) - f_w(x)||_2; rhs = e * B * prod ||W_i||_2 *
     sum ||U_i||_2 / ||W_i||_2, valid whenever every ||U_i||_2 <=
-    ||W_i||_2 / d.  Raises when the precondition fails.
+    ||W_i||_2 / d.  Raises when the precondition fails.  With bias columns,
+    B and ||W_i||_2 are those of the bias-free net on [x; 1] whose hidden
+    layers pass a constant-one unit on (each such W_i gains a row e_last).
     """
     layers = [np.asarray(W, dtype=np.float64) for W in layers]
     perturbations = [np.asarray(U, dtype=np.float64) for U in perturbations]
@@ -278,7 +280,11 @@ def perturbation_bound_check(layers: list[np.ndarray], perturbations: list[np.nd
     B = float(np.linalg.norm(x)) if input_bound is None else float(input_bound)
     if np.linalg.norm(x) > B + 1e-12:
         raise InvalidPerturbation("||x|| exceeds the stated input bound")
-    w_specs = [spectral_norm(W)[0] for W in layers]
+    bias_free = layers
+    if layers[0].shape[1] == x.size + 1:
+        B = float(np.hypot(B, 1.0))
+        bias_free = [np.vstack([W, np.eye(1, W.shape[1], W.shape[1] - 1)]) for W in layers[:-1]] + layers[-1:]
+    w_specs = [spectral_norm(W)[0] for W in bias_free]
     u_specs = [spectral_norm(U)[0] for U in perturbations]
     for ws, us in zip(w_specs, u_specs):
         if us > ws / d + 1e-12:
@@ -305,13 +311,16 @@ def check_conditions(layers: list[np.ndarray], X: np.ndarray, delta_grid=(0.01, 
     clipped to (0, 1].  The flip curve reports, per delta, the largest
     fraction of units with |pre-activation| <= delta divided by delta; the
     spikiness ratio compares the largest incoming row norm against the
-    average active row norm per layer.
+    average active row norm per layer.  A bias column reads a constant-one
+    unit; in P(a, b) it is 1 for a = 0 (x folded in) and starts no path
+    otherwise, so zero bias weights give the bias-free report.
     """
     layers = [np.asarray(W, dtype=np.float64) for W in layers]
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
     d = len(layers)
+    bias = layers[0].shape[1] == X.shape[1] + 1
     mu_best = np.inf
     c2_acc = {float(dl): 0.0 for dl in delta_grid}
     c3_acc = [0.0] * d
@@ -333,6 +342,8 @@ def check_conditions(layers: list[np.ndarray], X: np.ndarray, delta_grid=(0.01, 
                     run = x[:, None].copy()
                 else:
                     gated = acts[b - 1][:, None] * layers[b - 1]
+                    if run is not None and bias:
+                        run = np.vstack([run, np.full((1, run.shape[1]), float(a == 0))])
                     run = gated.copy() if run is None else gated @ run
                 mats[(a, b)] = run
         for a, c, b in triples:
@@ -363,12 +374,12 @@ def check_conditions(layers: list[np.ndarray], X: np.ndarray, delta_grid=(0.01, 
 
 
 def _activation_stack(layers, x):
-    """Per ReLU layer: activation indicator and pre-activation vectors."""
+    """Per ReLU layer: activation indicator and pre-activation vectors; a bias column reads an appended 1."""
     acts, pres = [], []
     h = x
     d = len(layers)
     for k, W in enumerate(layers):
-        z = W @ h
+        z = W @ (np.append(h, 1.0) if W.shape[1] == len(h) + 1 else h)
         pres.append(z)
         if k < d - 1:
             acts.append((z > 0).astype(np.float64))

@@ -17,8 +17,10 @@ squared per example), `path_sum`, `path_sum_backward` and the
 initialization in `train.init_params` all delegate to `net.backend`.
 
 `forward` keeps what `backward` needs in a `ForwardTrace`, in the backend's
-own layout; `predict` is the outputs-only path, run in fixed row chunks, for
-every caller that reads only f(x).
+own layout: per-layer arrays on layered nets and the recursion's arrays on
+RNNs, from which the per-node (V, B) arrays are built only when read.
+`predict` is the outputs-only path, run in fixed row chunks, for every caller
+that reads only f(x).
 
 `path_sum` / `path_sum_backward` are the one place that sums, over paths,
 products of per-parameter values; the path regularizer, kappa, the data
@@ -273,12 +275,13 @@ class NetworkGraph:
 class ForwardTrace:
     """What a forward pass on a batch computed, plus provenance.
 
-    `native` is what the net's backend keeps for `backward`: the (V, B)
-    pre-activations and outputs (z, h) of a layered or DAG net, the RNN
-    recursion's own (seqs, zs, hs, outs) of an RNN net.  `outputs()` reads
-    it directly.  `z` and `h` are the per-node (V, B) arrays; an RNN trace
-    scatters them from `native` on first read.  When only the outputs are
-    needed, call `predict` instead of `forward`: it keeps no trace.
+    `native` is what the net's backend keeps for `backward`, in its own
+    layout: the per-layer (zs, hs) of a layered net, the recursion's
+    (seqs, zs, hs, outs) of an RNN net, the (V, B) z and h of a DAG net.
+    `outputs()` reads it directly.  `z` and `h` are the per-node (V, B)
+    arrays; a layered or RNN trace builds them from `native` on first read.
+    When only the outputs are needed, call `predict` instead of `forward`:
+    it keeps no trace.
     """
 
     net: NetworkGraph
@@ -854,29 +857,42 @@ class LayeredBackend(DagBackend):
     """Fully connected layered nets: one matrix product per layer."""
 
     def forward(self, theta, X):
+        """Per layer: the (n_k, B) pre-activation and the C-contiguous (fan_in, B) input, ones row last with bias."""
+        zs, hs = [], []
+        for k, (W, n) in enumerate(zip(layer_views(self.net, theta), self.net.dims)):
+            h = np.empty((W.shape[1], X.shape[0]))
+            if k == 0:
+                h[:n] = X.T
+            else:
+                np.maximum(zs[-1], 0.0, out=h[:n])
+            h[n:] = 1.0
+            hs.append(h)
+            zs.append(W @ h)
+        return zs, hs
+
+    def node_arrays(self, native):
+        zs, hs = native
         net = self.net
-        z, h = _source_arrays(net, X)
-        layers = net.layer_nodes()
-        d = len(net.dims) - 1
-        for k, W in enumerate(layer_views(net, theta), start=1):
-            tgt = layers[k][: net.dims[k]]
-            zk = W @ h[layers[k - 1]]
-            z[tgt] = zk
-            h[tgt] = zk if k == d else np.maximum(zk, 0.0)
+        z, h = _source_arrays(net, hs[0][: net.dims[0]].T)
+        for k, ids in enumerate(net.layer_nodes()[1:], start=1):
+            tgt = ids[: net.dims[k]]
+            z[tgt] = zs[k - 1]
+            h[tgt] = hs[k][: net.dims[k]] if k < len(hs) else zs[k - 1]
         return z, h
+
+    def outputs(self, native):
+        return native[0][-1].T
 
     def backward(self, theta, trace, dL, squares=False):
         net = self.net
-        layers = net.layer_nodes()
+        zs, hs = trace.native
         mats = layer_views(net, theta)
-        d = len(net.dims) - 1
         grad = np.zeros(net.n_param)
         grads = layer_views(net, grad)
         d_h = dL.T  # (n_d, B) at the output layer
-        for k in range(d, 0, -1):
-            tgt = layers[k][: net.dims[k]]
-            dz = d_h if k == d else d_h * (trace.z[tgt] > 0)
-            h = trace.h[layers[k - 1]]
+        for k in range(len(mats), 0, -1):
+            dz = d_h if k == len(mats) else d_h * (zs[k - 1] > 0)
+            h = hs[k - 1]
             grads[k - 1][:] = dz**2 @ (h**2).T if squares else dz @ h.T
             if k > 1:
                 d_h = mats[k - 1][:, : net.dims[k - 1]].T @ dz

@@ -107,22 +107,16 @@ def _check_labels(labels, k):
     return labels.astype(np.int64)
 
 
-def _trunc_f(x):
-    out = np.exp(np.minimum(x, 700.0))
+def _trunc_f_fprime(x):
+    """The truncated exponential and its derivative: exp above the knot, a quadratic ramp below."""
+    f = np.exp(np.minimum(x, 700.0))
+    fp = f.copy(order="K")  # keep the scores' layout, so the sums below add in the same order
     low = x < TRUNC_KNOT
     if np.any(low):
         t = np.maximum(x[low] + 13.0, 0.0)
-        out[low] = TRUNC_SCALE * t * t / 4.0
-    return out
-
-
-def _trunc_fprime(x):
-    out = np.exp(np.minimum(x, 700.0))
-    low = x < TRUNC_KNOT
-    if np.any(low):
-        t = np.maximum(x[low] + 13.0, 0.0)
-        out[low] = TRUNC_SCALE * t / 2.0
-    return out
+        f[low] = TRUNC_SCALE * t * t / 4.0
+        fp[low] = TRUNC_SCALE * t / 2.0
+    return f, fp
 
 
 def loss_and_grad(kind: str, scores: np.ndarray, labels, margin_gamma: float = 0.0):
@@ -160,9 +154,8 @@ def loss_and_grad(kind: str, scores: np.ndarray, labels, margin_gamma: float = 0
         grad[np.arange(m), labels] -= 1.0
         return float(lse.mean()), grad / m
     if kind == "truncated_cross_entropy":
-        f = _trunc_f(rel)
+        f, fp = _trunc_f_fprime(rel)
         tot = f.sum(axis=1)
-        fp = _trunc_fprime(rel)
         grad = fp / tot[:, None]
         grad[np.arange(m), labels] -= fp.sum(axis=1) / tot
         return float(np.mean(np.log(tot))), grad / m

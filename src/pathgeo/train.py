@@ -70,9 +70,9 @@ class Checkpoint:
 def train(net: NetworkGraph, train_set: Dataset, cfg: TrainConfig, test_set: Dataset | None = None, theta0: np.ndarray | None = None, start: Checkpoint | None = None):
     """Run the schedule and return (theta, per-epoch history rows, checkpoint).
 
-    The per-epoch row holds the global step, epoch-mean training loss, the
-    train/test error, the kappa range seen during the epoch and the path
-    regularizer value at the epoch boundary.
+    The per-epoch row holds the global step, the full-set training loss at
+    the epoch's end (from `evaluate`), the train/test error, the epoch's
+    kappa range and the path regularizer value at the epoch boundary.
     """
     if start is not None:
         theta = start.theta.copy()

@@ -16,6 +16,7 @@ from pathgeo.measures import (
     point_margins,
     spectral_norm,
 )
+from pathgeo import netgraph
 from pathgeo.netgraph import build_layered
 
 from conftest import random_theta
@@ -265,6 +266,16 @@ class TestPerturbationBound:
             lhs, rhs = perturbation_bound_check(layers, Us, x)
             assert lhs <= rhs + 1e-12
 
+    def test_bias_columns_count_the_bias_unit(self, rng):
+        # at x = 0 only the bias units drive the net, so a bound with B = ||x|| would read 0
+        net = build_layered([2, 3, 1], bias=True)
+        for _ in range(20):
+            layers = [np.abs(W) for W in netgraph.layer_views(net, random_theta(net, rng))]
+            Us = [rng.normal(size=W.shape) for W in layers]
+            Us = [0.9 * spectral_norm(W)[0] / 2 * U / spectral_norm(U)[0] for W, U in zip(layers, Us)]
+            lhs, rhs = perturbation_bound_check(layers, Us, np.zeros(2))
+            assert 0.0 < lhs <= rhs
+
     def test_inadmissible_rejected(self, rng):
         layers = [rng.normal(size=(3, 2)), rng.normal(size=(1, 3))]
         U0 = rng.normal(size=(3, 2))
@@ -309,6 +320,27 @@ class TestConditions:
         assert 0.1 <= rand.mu_c1 / trained.mu_c1 <= 10.0
         assert 0.1 <= rand.c3_max / trained.c3_max <= 10.0
         assert 0.1 <= rand.c2_max / max(trained.c2_max, 1e-9) <= 10.0
+
+    def test_zero_bias_columns_give_the_bias_free_report(self, rng):
+        from pathgeo.invariance import layer_matrices
+
+        net = build_layered([6, 5, 3], bias=True)
+        mats = layer_matrices(net, random_theta(net, rng))
+        for W in mats:
+            W[:, -1] = 0.0
+        X = rng.normal(size=(4, 6))
+        got, want = check_conditions(mats, X), check_conditions([W[:, :-1] for W in mats], X)
+        assert got.mu_c1 == pytest.approx(want.mu_c1, rel=1e-12)
+        assert got.c2_curve == want.c2_curve
+        np.testing.assert_allclose(got.c3_per_layer, want.c3_per_layer, rtol=1e-12)
+        lhs, _ = perturbation_bound_check(mats, [np.zeros_like(W) for W in mats], X[0])
+        assert lhs == 0.0
+
+    def test_bias_unit_enters_mu(self):
+        W1, W2 = np.array([[1.0, 0.5], [2.0, -1.0]]), np.array([[1.0, -1.0, 0.25]])
+        rep = check_conditions([W1, W2], np.array([[1.0]]))
+        # h1 = relu(W1 [x; 1]) = (1.5, 1) and f = W2 [h1; 1] = 0.75; the only triple is (0, 1, 2)
+        assert rep.mu_c1 == pytest.approx(np.sqrt(2.0) * 0.75 / (np.linalg.norm(W2) * np.hypot(1.5, 1.0)), rel=1e-12)
 
     def test_report_fields_sane(self, rng):
         layers = [rng.normal(size=(8, 5)) / np.sqrt(5), rng.normal(size=(6, 8)) / np.sqrt(8), rng.normal(size=(3, 6)) / np.sqrt(6)]

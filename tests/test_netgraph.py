@@ -223,6 +223,28 @@ class TestBackward:
         g_slow = backward(stripped, theta, forward(stripped, theta, X), d_out)
         np.testing.assert_allclose(g_fast, g_slow, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_layered_backward_reads_the_per_layer_trace(self, rng, bias):
+        # forward and backward keep per-layer arrays; z and h are placed by node id only on first read
+        net = build_layered([4, 5, 3], bias=bias)
+        theta = random_theta(net, rng)
+        X = rng.normal(size=(6, 4))
+        trace = forward(net, theta, X)
+        backward(net, theta, trace, rng.normal(size=(6, 3)))
+        netgraph.per_example_sq_grad(net, theta, trace, rng.normal(size=(6, 3)))
+        assert "_node_arrays" not in trace.__dict__
+
+        layers = net.layer_nodes()
+        z, h = np.zeros((net.n_nodes, 6)), np.zeros((net.n_nodes, 6))
+        h[layers[0][:4]] = X.T
+        if bias:
+            h[[ids[-1] for ids in layers[:-1]]] = 1.0
+        for k, W in enumerate(netgraph.layer_views(net, theta), start=1):
+            ids = layers[k][: net.dims[k]]
+            z[ids] = W @ h[layers[k - 1]]
+            h[ids] = z[ids] if k == len(layers) - 1 else np.maximum(z[ids], 0.0)
+        assert np.array_equal(trace.z, z) and np.array_equal(trace.h, h) and trace.z is trace.z
+
 
 class TestRNN:
     def test_t1_has_unused_recurrent_param(self):
