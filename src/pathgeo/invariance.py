@@ -56,16 +56,11 @@ def rescale_feedforward(net: NetworkGraph, theta: np.ndarray, beta: np.ndarray) 
         raise InfeasibleRescaling("beta must be 1 at input, bias and output nodes")
     src, dst, pid = net.edges[:, 0], net.edges[:, 1], net.edges[:, 2]
     per_edge = theta[pid] * (beta[dst] / beta[src])
-    out = np.empty(net.n_param)
-    out.fill(np.nan)
-    for e in range(net.n_edges):
-        i = pid[e]
-        if np.isnan(out[i]):
-            out[i] = per_edge[e]
-        elif out[i] != per_edge[e]:
-            raise InfeasibleRescaling(f"shared parameter {i} receives unequal scaled copies")
-    unused = np.isnan(out)
-    out[unused] = theta[unused]
+    out = np.array(theta, dtype=np.float64)
+    out[pid] = per_edge
+    unequal = np.flatnonzero(out[pid] != per_edge)
+    if unequal.size:
+        raise InfeasibleRescaling(f"shared parameter {pid[unequal[0]]} receives unequal scaled copies")
     return out
 
 

@@ -2,9 +2,9 @@
 
 All norm-based quantities are reported divided by the margin squared, so
 they are comparable across nets whose outputs differ only by scale.  Path
-based measures are path sums of transformed weight matrices, computed by
-`netgraph.layered_path_sum`, which `LayeredBackend.path_sum` also runs;
-nothing here enumerates paths.
+based measures are path sums of transformed weight matrices, one
+matrix-vector product per layer; nothing here enumerates paths.  Spectral
+norms are exact (LAPACK's SVD).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidEpsilon, InvalidPerturbation, MarginDegenerate
 from .invariance import matrix_group_norm
-from .netgraph import NetworkGraph, forward, layered_path_sum, predict
+from .netgraph import NetworkGraph, forward, predict
 from .optim import loss_and_grad, point_margins
 
 
@@ -97,37 +97,21 @@ def margin(scores: np.ndarray, labels: np.ndarray, eps: float = 0.05) -> float:
 # -- spectral norm ----------------------------------------------------------------
 
 
-def spectral_norm(W: np.ndarray, tol: float = 1e-12, max_iter: int = 2000):
-    """Largest singular value by power iteration on W^T W.
-
-    Returns (sigma, converged); on non-convergence the best estimate is
-    returned with converged=False.
-    """
+def spectral_norm(W: np.ndarray) -> float:
+    """Largest singular value of W; 0.0 when W is empty."""
     W = np.asarray(W, dtype=np.float64)
-    if W.size == 0:
-        return 0.0, True
-    n = W.shape[1]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    sigma = 0.0
-    for _ in range(max_iter):
-        u = W @ v
-        nv = W.T @ u
-        norm = np.linalg.norm(nv)
-        if norm == 0.0:
-            return 0.0, True
-        v = nv / norm
-        new_sigma = float(np.linalg.norm(W @ v))
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
-            return new_sigma, True
-        sigma = new_sigma
-    return sigma, False
+    return float(np.linalg.norm(W, 2)) if W.size else 0.0
 
 
 # -- norm measures ------------------------------------------------------------------
 
 
 def _path_total(mats: list[np.ndarray], bias: bool) -> float:
-    return float(layered_path_sum(mats, bias)[-1].sum())
+    """Sum over input->output paths of the product of matrix entries: 1^T M_d ... M_1 1, bias units carrying 1."""
+    v = np.ones(mats[0].shape[1] - (1 if bias else 0))
+    for M in mats:
+        v = M @ (np.append(v, 1.0) if bias else v)
+    return float(v.sum())
 
 
 def norm_measures(layers: list[np.ndarray], gamma_margin: float, pq_grid=((1.0, np.inf), (2.0, np.inf), (2.0, 2.0), (1.0, 1.0)), bias: bool = False) -> ComplexityReport:
@@ -147,7 +131,7 @@ def norm_measures(layers: list[np.ndarray], gamma_margin: float, pq_grid=((1.0, 
     widths = [W.shape[0] for W in layers]
 
     fro = [float(np.linalg.norm(W)) for W in layers]
-    spec = [spectral_norm(W)[0] for W in layers]
+    spec = [spectral_norm(W) for W in layers]
     l1inf = [float(np.abs(W).sum(axis=1).max()) for W in layers]
 
     l2_measure = float(np.prod([4.0 * f**2 for f in fro])) / g2
@@ -284,8 +268,8 @@ def perturbation_bound_check(layers: list[np.ndarray], perturbations: list[np.nd
     if layers[0].shape[1] == x.size + 1:
         B = float(np.hypot(B, 1.0))
         bias_free = [np.vstack([W, np.eye(1, W.shape[1], W.shape[1] - 1)]) for W in layers[:-1]] + layers[-1:]
-    w_specs = [spectral_norm(W)[0] for W in bias_free]
-    u_specs = [spectral_norm(U)[0] for U in perturbations]
+    w_specs = [spectral_norm(W) for W in bias_free]
+    u_specs = [spectral_norm(U) for U in perturbations]
     for ws, us in zip(w_specs, u_specs):
         if us > ws / d + 1e-12:
             raise InvalidPerturbation("perturbation exceeds ||W||_2 / d")

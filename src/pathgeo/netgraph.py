@@ -13,8 +13,8 @@ recursion) or `DagBackend` (topological walks, the reference semantics the
 other two are checked against and the one the oracles exercise).  That is
 the only place an implementation is chosen by net kind: `forward`,
 `predict`, `backward`, `per_example_sq_grad` (the same reverse pass,
-squared per example), `path_sum`, `path_sum_backward` and the
-initialization in `train.init_params` all delegate to `net.backend`.
+squared per example), `path_sum` and the initialization in
+`train.init_params` all delegate to `net.backend`.
 
 `forward` keeps what `backward` needs in a `ForwardTrace`, in the backend's
 own layout: per-layer arrays on layered nets and the recursion's arrays on
@@ -22,11 +22,13 @@ RNNs, from which the per-node (V, B) arrays are built only when read.
 `predict` is the outputs-only path, run in fixed row chunks, for every caller
 that reads only f(x).
 
-`path_sum` / `path_sum_backward` are the one place that sums, over paths,
-products of per-parameter values; the path regularizer, kappa, the data
-dependent blend, path norms and path counts are all that pair evaluated
-on transformed weights, and the norm measures call the layered recursion
-`layered_path_sum` on their matrices.
+A path sum (over paths, the product of nonnegative per-parameter values) is
+the same forward pass on the net weighted by those values, at input ones:
+there every pre-activation is nonnegative and the ReLU is the identity.
+`path_trace` runs it and `path_sum` reads its node outputs; `backward` on
+that trace with `linear=True` (no ReLU mask) differentiates the summed
+outputs.  The path regularizer, kappa, path norms and path counts are that
+pair on transformed weights.
 """
 
 from __future__ import annotations
@@ -540,31 +542,46 @@ def rnn_forward(spec: RNNSpec, theta: np.ndarray, seqs: np.ndarray):
     return zs, hs, outs
 
 
-def rnn_backward(spec: RNNSpec, theta: np.ndarray, seqs: np.ndarray, zs, hs, dL_douts: np.ndarray) -> np.ndarray:
-    """BPTT gradient of a scalar loss w.r.t. the shared parameters.
+def rnn_cotangents(spec: RNNSpec, theta: np.ndarray, zs, dL_douts: np.ndarray, linear: bool = False) -> list[np.ndarray]:
+    """BPTT cotangents d L / d z per hidden layer, each (B, T, n_i).
 
-    dL_douts: (B, len(output_times), n_out).  Shared parameters accumulate
-    over their time copies.  ReLU subgradient at exactly zero is zero.
+    dL_douts: (B, len(output_times), n_out).  ReLU subgradient at exactly
+    zero is zero; with `linear` the mask is dropped (identity activation).
     """
     w_in, w_rec, w_out = spec.unpack(theta)
-    B = seqs.shape[0]
-    g_in = [np.zeros_like(m) for m in w_in]
-    g_rec = [np.zeros_like(m) for m in w_rec]
-    g_out = np.zeros_like(w_out)
+    B = dL_douts.shape[0]
     d_h = [np.zeros((B, spec.T, n_i)) for n_i in spec.hidden]
     for j, t in enumerate(spec.output_times):
-        g_out += dL_douts[:, j].T @ hs[-1][:, t - 1]
         d_h[-1][:, t - 1] += dL_douts[:, j] @ w_out
+    dzs = [None] * len(spec.hidden)
     for i in reversed(range(len(spec.hidden))):
-        below = seqs if i == 0 else hs[i - 1]
         dz_all = np.zeros((B, spec.T, spec.hidden[i]))
         for t in reversed(range(spec.T)):
-            dz = d_h[i][:, t] * (zs[i][:, t] > 0)
+            dz = d_h[i][:, t] if linear else d_h[i][:, t] * (zs[i][:, t] > 0)
             dz_all[:, t] = dz
             if t > 0:
                 d_h[i][:, t - 1] += dz @ w_rec[i]
             if i > 0:
                 d_h[i - 1][:, t] += dz @ w_in[i]
+        dzs[i] = dz_all
+    return dzs
+
+
+def rnn_backward(spec: RNNSpec, theta: np.ndarray, seqs: np.ndarray, zs, hs, dL_douts: np.ndarray, linear: bool = False) -> np.ndarray:
+    """BPTT gradient of a scalar loss w.r.t. the shared parameters.
+
+    dL_douts: (B, len(output_times), n_out).  Shared parameters accumulate
+    over their time copies; the cotangents come from `rnn_cotangents`.
+    """
+    dzs = rnn_cotangents(spec, theta, zs, dL_douts, linear)
+    w_in, w_rec, w_out = spec.unpack(theta)
+    g_in = [np.zeros_like(m) for m in w_in]
+    g_rec = [np.zeros_like(m) for m in w_rec]
+    g_out = np.zeros_like(w_out)
+    for j, t in enumerate(spec.output_times):
+        g_out += dL_douts[:, j].T @ hs[-1][:, t - 1]
+    for i, dz_all in enumerate(dzs):
+        below = seqs if i == 0 else hs[i - 1]
         for t in range(spec.T):
             g_in[i] += dz_all[:, t].T @ below[:, t]
             if t > 0:
@@ -613,85 +630,29 @@ def per_example_sq_grad(net: NetworkGraph, theta: np.ndarray, trace: ForwardTrac
 # -- path machinery ----------------------------------------------------------
 
 
-def path_sum(net: NetworkGraph, values: np.ndarray, offset: np.ndarray | None = None) -> np.ndarray:
-    """(V,) per node v: sum over source->v paths of the product of edge values.
+def path_trace(net: NetworkGraph, values: np.ndarray) -> ForwardTrace:
+    """The backend's forward trace of the net weighted by nonnegative per-parameter `values`, at input ones.
+
+    Each node's output is then the sum over source->node paths of the
+    product of edge values; the backend's `backward(..., linear=True)` on
+    it is the gradient of the summed outputs.  Negative values raise
+    ContractViolation: there the ReLU would not be the identity.
+    """
+    if values.shape != (net.n_param,):
+        raise ContractViolation(f"values shape {values.shape}, expected ({net.n_param},)")
+    if np.any(values < 0):
+        raise ContractViolation("path sums need nonnegative values")
+    native = net.backend.forward(values, np.ones((1, len(net.input_nodes))))
+    return ForwardTrace(net=net, theta=values, batch_size=1, native=native)
+
+
+def path_sum(net: NetworkGraph, values: np.ndarray) -> np.ndarray:
+    """(V,) per node v: sum over source->v paths of the product of nonnegative edge values.
 
     values is per parameter (length n_param); an edge takes the value of its
-    parameter.  Sources carry 1.  With `offset` (V,), every node with
-    incoming edges also adds offset[v], so a path may start at any such node
-    u with weight offset[u].  The net's backend does the sum.
+    parameter.  Sources carry 1.
     """
-    if values.shape != (net.n_param,):
-        raise ContractViolation(f"values shape {values.shape}, expected ({net.n_param},)")
-    return net.backend.path_sum(values, offset)
-
-
-def path_sum_backward(net: NetworkGraph, values: np.ndarray) -> np.ndarray:
-    """(V,) per node v: sum over v->output paths of the product of per-parameter values."""
-    if values.shape != (net.n_param,):
-        raise ContractViolation(f"values shape {values.shape}, expected ({net.n_param},)")
-    return net.backend.path_sum_backward(values)
-
-
-def layered_path_sum(mats: list[np.ndarray], bias: bool = False, offsets: list[np.ndarray] | None = None) -> list[np.ndarray]:
-    """Forward path sums through a chain of per-layer edge-value matrices.
-
-    mats[k-1] has shape (n_k, n_{k-1} + bias).  Entry k of the result holds,
-    per unit of layer k, the sum over paths ending there of the product of
-    matrix entries: M_k ... M_1 1.  With bias=True every non-output entry
-    ends in the constant-one bias unit, which starts new paths at the next
-    layer, so the entries concatenate to the node order of `build_layered`.
-    offsets[k-1], when given, is added to layer k's sums.
-    """
-    v = np.ones(mats[0].shape[1] - (1 if bias else 0))
-    out = []
-    for k, M in enumerate(mats):
-        if bias:
-            v = np.append(v, 1.0)
-        out.append(v)
-        v = M @ v
-        if offsets is not None:
-            v = offsets[k] + v
-    out.append(v)
-    return out
-
-
-def rnn_path_sums(spec: RNNSpec, values: np.ndarray, offsets: list[np.ndarray] | None = None) -> list[np.ndarray]:
-    """`path_sum` of the unrolled RNN by its matrix recursion, per parameter values.
-
-    Returns the hidden layers' and then the outputs' entries, shaped as in
-    `rnn_node_ids`; offsets[i], when given, is added to entry i.
-    """
-    w_in, w_rec, w_out = spec.unpack(values)
-    out = []
-    prev = np.ones((spec.T, spec.n_in))
-    for i, n_i in enumerate(spec.hidden):
-        g = np.empty((spec.T, n_i))
-        g_last = np.zeros(n_i)
-        for t in range(spec.T):
-            g_last = w_in[i] @ prev[t] + w_rec[i] @ g_last
-            if offsets is not None:
-                g_last = offsets[i][t] + g_last
-            g[t] = g_last
-        out.append(g)
-        prev = g
-    g_out = np.stack([w_out @ prev[t - 1] for t in spec.output_times])
-    return out + [g_out if offsets is None else offsets[-1] + g_out]
-
-
-def rnn_path_sums_backward(spec: RNNSpec, values: np.ndarray) -> list[np.ndarray]:
-    """`path_sum_backward` of the unrolled RNN: the inputs' and then the hidden layers' entries."""
-    w_in, w_rec, w_out = spec.unpack(values)
-    delta = [np.zeros((spec.T, n)) for n in (spec.n_in,) + spec.hidden]
-    ones_out = np.ones(spec.n_out)
-    for t in spec.output_times:
-        delta[-1][t - 1] += w_out.T @ ones_out
-    for i in reversed(range(len(spec.hidden))):
-        for t in reversed(range(spec.T)):
-            if t + 1 < spec.T:
-                delta[i + 1][t] += w_rec[i].T @ delta[i + 1][t + 1]
-            delta[i][t] += w_in[i].T @ delta[i + 1][t]
-    return delta
+    return path_trace(net, values).h[:, 0]
 
 
 def count_paths(net: NetworkGraph) -> int:
@@ -780,7 +741,7 @@ class DagBackend:
     A backend serves one net.  `forward` returns the trace's `native` part,
     which `outputs` (the (B, n_out) outputs, output-major), `node_arrays`
     (the (V, B) z and h) and `backward` read; `init` draws balanced initial
-    parameters; the path sums serve the public functions of the same name.
+    parameters.
     """
 
     def __init__(self, net: NetworkGraph):
@@ -804,8 +765,8 @@ class DagBackend:
     def outputs(self, native):
         return native[1][self.net.output_nodes].T
 
-    def backward(self, theta, trace, dL, squares=False):
-        """The gradient; with `squares`, the sum over examples of its squared per-edge terms."""
+    def backward(self, theta, trace, dL, squares=False, linear=False):
+        """The gradient; with `squares`, the sum over examples of its squared per-edge terms; with `linear`, no ReLU mask."""
         net = self.net
         w = theta[net.edges[:, 2]]
         d_h = np.zeros_like(trace.z)
@@ -813,35 +774,12 @@ class DagBackend:
         grad = np.zeros(net.n_param)
         for v in net.topo[::-1]:
             if net.in_edges[v]:
-                dz = d_h[v] if net.node_kind[v] == NODE_OUTPUT else d_h[v] * (trace.z[v] > 0)
+                dz = d_h[v] if linear or net.node_kind[v] == NODE_OUTPUT else d_h[v] * (trace.z[v] > 0)
                 eids, srcs, pids = net.in_edges[v]
                 h = trace.h[srcs]
                 np.add.at(grad, pids, h**2 @ dz**2 if squares else h @ dz)
                 np.add.at(d_h, srcs, np.outer(w[eids], dz))
         return grad
-
-    def path_sum(self, values, offset=None):
-        net = self.net
-        edge_values = values[net.edges[:, 2]]
-        g = np.zeros(net.n_nodes)
-        g[net.source_nodes] = 1.0
-        for v in net.topo:
-            if net.in_edges[v]:
-                eids, srcs, _ = net.in_edges[v]
-                through = edge_values[eids] @ g[srcs]
-                g[v] = through if offset is None else offset[v] + through
-        return g
-
-    def path_sum_backward(self, values):
-        net = self.net
-        edge_values = values[net.edges[:, 2]]
-        delta = np.zeros(net.n_nodes)
-        delta[net.output_nodes] = 1.0
-        for v in net.topo[::-1]:
-            if net.in_edges[v]:
-                eids, srcs, _ = net.in_edges[v]
-                np.add.at(delta, srcs, edge_values[eids] * delta[v])
-        return delta
 
     def init(self, rng):
         """N(0, 1/fan-in) on the incoming parameters of each node."""
@@ -883,7 +821,7 @@ class LayeredBackend(DagBackend):
     def outputs(self, native):
         return native[0][-1].T
 
-    def backward(self, theta, trace, dL, squares=False):
+    def backward(self, theta, trace, dL, squares=False, linear=False):
         net = self.net
         zs, hs = trace.native
         mats = layer_views(net, theta)
@@ -891,24 +829,12 @@ class LayeredBackend(DagBackend):
         grads = layer_views(net, grad)
         d_h = dL.T  # (n_d, B) at the output layer
         for k in range(len(mats), 0, -1):
-            dz = d_h if k == len(mats) else d_h * (zs[k - 1] > 0)
+            dz = d_h if linear or k == len(mats) else d_h * (zs[k - 1] > 0)
             h = hs[k - 1]
             grads[k - 1][:] = dz**2 @ (h**2).T if squares else dz @ h.T
             if k > 1:
                 d_h = mats[k - 1][:, : net.dims[k - 1]].T @ dz
         return grad
-
-    def path_sum(self, values, offset=None):
-        net = self.net
-        units = zip(net.layer_nodes()[1:], net.dims[1:])
-        offsets = None if offset is None else [offset[ids[:n]] for ids, n in units]
-        return np.concatenate(layered_path_sum(layer_views(net, values), net.has_bias, offsets))
-
-    def path_sum_backward(self, values):
-        delta = [np.ones(self.net.dims[-1])]
-        for M in reversed(layer_views(self.net, values)):
-            delta.insert(0, M.T @ delta[0][: M.shape[0]])  # a bias entry has no incoming edges
-        return np.concatenate(delta)
 
     def init(self, rng):
         """N(0, 1/fan-in) per unit, zero bias weights."""
@@ -947,26 +873,12 @@ class RNNBackend(DagBackend):
         # output-major like the (V, B) rows a DAG trace reads its outputs from, so losses sum in the same order
         return np.asfortranarray(outs.reshape(outs.shape[0], -1))
 
-    def backward(self, theta, trace, dL, squares=False):
+    def backward(self, theta, trace, dL, squares=False, linear=False):
         if squares:  # BPTT sums over time copies; per-edge terms come from the DAG walk
             return super().backward(theta, trace, dL, squares)
         spec = self.spec
         seqs, zs, hs, _ = trace.native
-        return rnn_backward(spec, theta, seqs, zs, hs, dL.reshape(-1, len(spec.output_times), spec.n_out))
-
-    def path_sum(self, values, offset=None):
-        targets = self.layer_ids[1:] + [self.output_ids]
-        offsets = None if offset is None else [offset[ids] for ids in targets]
-        g = np.ones(self.net.n_nodes)  # the inputs keep their 1
-        for ids, sums in zip(targets, rnn_path_sums(self.spec, values, offsets)):
-            g[ids] = sums
-        return g
-
-    def path_sum_backward(self, values):
-        delta = np.ones(self.net.n_nodes)  # the outputs keep their 1
-        for ids, sums in zip(self.layer_ids, rnn_path_sums_backward(self.spec, values)):
-            delta[ids] = sums
-        return delta
+        return rnn_backward(spec, theta, seqs, zs, hs, dL.reshape(-1, len(spec.output_times), spec.n_out), linear)
 
     def init(self, rng):
         """N(0, 1/fan-in) per unit for every input, recurrent and output matrix."""

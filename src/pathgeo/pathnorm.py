@@ -4,18 +4,18 @@ gamma2_net is the sum over source->output paths of the product of squared
 edge weights; kappa_i = 0.5 * d^2 gamma2_net / d theta_i^2 splits into a
 per-edge term kappa1 and an interaction term kappa2 that is nonzero only
 when a single path can traverse two edges sharing one parameter (time
-unrolled recurrent nets).  Everything here is computed by dynamic
-programming on the squared-weight network, i.e. `netgraph.path_sum` and
-`netgraph.path_sum_backward` on parameter values w^2; brute-force path
-enumeration is provided as the oracle.  Nothing here chooses by net kind:
-the net's backend, picked once in `NetworkGraph.__post_init__`, runs the
-sums, and only `kappa2_rnn` reads an RNN spec, as its data.
+unrolled recurrent nets).  Both are one forward and one reverse pass on
+the squared-weight network: the net's own backend, picked once in
+`NetworkGraph.__post_init__`, run on parameter values w^2 at input ones
+(`netgraph.path_trace`); brute-force path enumeration is provided as the
+oracle.  Nothing here chooses by net kind; only `kappa2_rnn` reads an RNN
+spec, as its data.
 
 The data-dependent variants blend the squared-weight recursion with batch
-statistics of the pre-activations and reduce to the data-independent case
-at alpha=0.  At alpha=1 kappa is the diagonal of the Fisher matrix, which
-`fisher_diag_analytic` computes on the backend's own reverse pass: one
-`netgraph.per_example_sq_grad` per output.
+statistics of the pre-activations, node by node, and reduce to the
+data-independent case at alpha=0.  At alpha=1 kappa is the diagonal of the
+Fisher matrix, which `fisher_diag_analytic` computes on the backend's own
+reverse pass: one `netgraph.per_example_sq_grad` per output.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ from .netgraph import (
     enumerate_paths,
     forward,
     path_sum,
-    path_sum_backward,
+    path_trace,
     per_example_sq_grad,
-    rnn_path_sums,
-    rnn_path_sums_backward,
+    rnn_cotangents,
+    rnn_forward,
 )
 
 VALID_STATS = ("variance", "second_moment")
@@ -84,14 +84,12 @@ def kappa1(net: NetworkGraph, theta: np.ndarray) -> np.ndarray:
 
     Computed as the gradient of the squared-weight network's summed output
     at the all-ones input: kappa1_i = sum_{e in E_i} delta_{dst(e)} * gamma2_{src(e)}.
+    The reverse pass is linear: a unit that no path reaches has z = 0 but
+    its delta still counts.
     """
     w2 = theta**2
-    g = path_sum(net, w2)
-    delta = path_sum_backward(net, w2)
-    src, dst, pid = net.edges[:, 0], net.edges[:, 1], net.edges[:, 2]
-    out = np.zeros(net.n_param)
-    np.add.at(out, pid, delta[dst] * g[src])
-    return out
+    trace = path_trace(net, w2)
+    return net.backend.backward(w2, trace, np.ones((1, len(net.output_nodes))), linear=True)
 
 
 def kappa2_rnn(spec: RNNSpec, theta: np.ndarray) -> np.ndarray:
@@ -108,9 +106,10 @@ def kappa2_rnn(spec: RNNSpec, theta: np.ndarray) -> np.ndarray:
     if spec.T < 3:
         return out
     w2 = theta**2
-    hs = rnn_path_sums(spec, w2)[:-1]
-    deltas = rnn_path_sums_backward(spec, w2)[1:]
-    for W2, g_rec, h_i, delta_i in zip(spec.unpack(w2)[1], spec.unpack(out)[1], hs, deltas):
+    # the squared net at input ones: per hidden layer, forward path sums and linear cotangents
+    zs, hs, _ = rnn_forward(spec, w2, np.ones((1, spec.T, spec.n_in)))
+    deltas = rnn_cotangents(spec, w2, zs, np.ones((1, len(spec.output_times), spec.n_out)), linear=True)
+    for W2, g_rec, (h_i,), (delta_i,) in zip(spec.unpack(w2)[1], spec.unpack(out)[1], hs, deltas):
         acc = np.zeros_like(W2)
         # powers[s] = (W2^s)[k, j] indexed [k, j]
         power = np.eye(len(W2))
@@ -167,6 +166,17 @@ def check_blend(alpha: float, stat: str):
         raise UnsupportedCombination(f"alpha={alpha} outside [0, 1]")
 
 
+def _blended_gamma(net: NetworkGraph, blend_w2: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """(V,) per node: offset[v] + sum over incoming edges of blend_w2 * gamma_u; sources carry 1."""
+    g = np.zeros(net.n_nodes)
+    g[net.source_nodes] = 1.0
+    for v in net.topo:
+        if net.in_edges[v]:
+            _, srcs, pids = net.in_edges[v]
+            g[v] = offset[v] + blend_w2[pids] @ g[srcs]
+    return g
+
+
 def ddp_gamma(net: NetworkGraph, theta: np.ndarray, batch: np.ndarray, alpha: float, stat: str = "second_moment") -> GammaState:
     """Blended per-node measure: alpha * S(z_v) + (1-alpha) * sum gamma2_u w^2.
 
@@ -180,7 +190,7 @@ def ddp_gamma(net: NetworkGraph, theta: np.ndarray, batch: np.ndarray, alpha: fl
         state, _ = path_reg_dp(net, theta)
         return state
     trace = forward(net, theta, batch)
-    g = path_sum(net, (1.0 - alpha) * theta**2, alpha * _batch_stat(trace.z, stat))
+    g = _blended_gamma(net, (1.0 - alpha) * theta**2, alpha * _batch_stat(trace.z, stat))
     return GammaState(gamma2=g, gamma2_net=float(g[net.output_nodes].sum()))
 
 
@@ -211,9 +221,14 @@ def ddp_kappa(net: NetworkGraph, theta: np.ndarray, batch: np.ndarray, alpha: fl
     w = theta[net.edges[:, 2]]
 
     blend_w2 = (1.0 - alpha) * theta**2
-    gamma = path_sum(net, blend_w2, alpha * _batch_stat(trace.z, stat))
-    # A_v = d gamma2_net / d gamma2_v
-    A = path_sum_backward(net, blend_w2)
+    gamma = _blended_gamma(net, blend_w2, alpha * _batch_stat(trace.z, stat))
+    # A_v = d gamma2_net / d gamma2_v: sum over v->output paths of products of blend_w2
+    A = np.zeros(V)
+    A[net.output_nodes] = 1.0
+    for v in net.topo[::-1]:
+        if net.in_edges[v]:
+            _, srcs, pids = net.in_edges[v]
+            np.add.at(A, srcs, blend_w2[pids] * A[v])
 
     out_w = [[] for _ in range(V)]
     out_v = [[] for _ in range(V)]

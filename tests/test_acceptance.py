@@ -290,14 +290,14 @@ def test_ac10_perturbation_bound():
     rng = np.random.default_rng(1010)
     layers = [rng.normal(size=(6, 4)), rng.normal(size=(5, 6)), rng.normal(size=(4, 5)), rng.normal(size=(2, 4))]
     d = len(layers)
-    caps = [spectral_norm(W)[0] / d for W in layers]
+    caps = [spectral_norm(W) / d for W in layers]
     violations = 0
     min_slack = np.inf
     for _ in range(10**4):
         Us = []
         for W, cap in zip(layers, caps):
             U = rng.normal(size=W.shape)
-            U *= rng.uniform(0.0, 1.0) * cap / spectral_norm(U)[0]
+            U *= rng.uniform(0.0, 1.0) * cap / spectral_norm(U)
             Us.append(U)
         x = rng.normal(size=4)
         lhs, rhs = perturbation_bound_check(layers, Us, x)

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathgeo import netgraph, pathnorm
-from pathgeo.errors import InsufficientData, UnsupportedCombination
+from pathgeo.errors import ContractViolation, InsufficientData, UnsupportedCombination
 from pathgeo.invariance import path_norm
-from pathgeo.netgraph import RNNSpec, build_layered, build_random_dag, build_rnn_unrolled
+from pathgeo.netgraph import RNNSpec, build_layered, build_random_dag, build_rnn_unrolled, layer_views
 from pathgeo.pathnorm import (
     ddp_gamma,
     ddp_kappa,
@@ -57,6 +57,17 @@ class TestPathReg:
         assert dp == pytest.approx(path_reg_bruteforce(net, theta), rel=1e-12)
 
 
+class TestPathSum:
+    def test_rejects_negative_values(self, rng):
+        """On a negative value the ReLU is not the identity, so the forward pass is not a path sum."""
+        for net in (build_layered([3, 2, 1], bias=True), build_rnn_unrolled(RNNSpec(n_in=1, hidden=(2,), n_out=1, T=2))):
+            values = np.abs(random_theta(net, rng))
+            values[0] = -0.5
+            with pytest.raises(ContractViolation):
+                netgraph.path_sum(net, values)
+            assert np.all(netgraph.path_sum(net, np.abs(values)) > 0.0)
+
+
 class TestKappa1:
     def test_chain_values(self):
         net = build_layered([1, 1, 1])
@@ -86,6 +97,29 @@ class TestKappa1:
         net = build_rnn_unrolled(spec)
         theta = rng.normal(0.0, 0.8, size=spec.n_param)
         bf = kappa_bruteforce(net, theta)
+        np.testing.assert_allclose(kappa1(net, theta), bf.kappa1, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["layered", "layered_bias", "rnn", "rnn_dag"])
+    def test_dead_unit_matches_bruteforce(self, rng, kind):
+        """A unit whose incoming weights are all zero has z = 0 but still carries kappa."""
+        if kind.startswith("layered"):
+            net = build_layered([4, 3, 2], bias=kind == "layered_bias")
+            theta = random_theta(net, rng)
+            layer_views(net, theta)[0][1] = 0.0
+        else:
+            spec = RNNSpec(n_in=2, hidden=(2,), n_out=1, T=3)
+            net = build_rnn_unrolled(spec)
+            theta = random_theta(net, rng)
+            w_in, w_rec, _ = spec.unpack(theta)
+            w_in[0][1] = w_rec[0][1] = 0.0
+            if kind == "rnn_dag":
+                net = netgraph.NetworkGraph(
+                    node_kind=net.node_kind.copy(), edges=net.edges.copy(),
+                    n_param=net.n_param, allow_unused_params=True,
+                )
+            np.testing.assert_allclose(kappa2_rnn(spec, theta), kappa_bruteforce(net, theta).kappa2, rtol=1e-10, atol=1e-12)
+        bf = kappa_bruteforce(net, theta)
+        assert bf.kappa1[theta == 0.0].max() > 0.0  # the dead unit's zero weights carry kappa
         np.testing.assert_allclose(kappa1(net, theta), bf.kappa1, rtol=1e-10, atol=1e-12)
 
 
@@ -264,7 +298,6 @@ def test_layered_path_sums_match_generic_walk(rng, bias):
         lambda n: path_reg_dp(n, theta)[0].gamma2,
         lambda n: kappa1(n, theta),
         lambda n: ddp_gamma(n, theta, X, alpha=0.5).gamma2,
-        lambda n: netgraph.path_sum_backward(n, theta**2),
     ]
     if bias != "rnn":  # data-dependent kappa and the Fisher reject shared weights
         checks.append(lambda n: ddp_kappa(n, theta, X, alpha=0.5))
